@@ -221,6 +221,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+# Anchors forecast per call of the folded predictor in cmd_predict; bounds the
+# gathered histories to block * nodes * history values.
+_PREDICT_BLOCK = 4096
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     opts = _resolve(args, {"stride": 1})
     state = load_checkpoint(args.checkpoint)
@@ -229,17 +234,22 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if series.n_steps < h + t:
         raise ValueError(f"series has {series.n_steps} steps; checkpoint needs at least {h + t}")
     anchors = np.arange(0, series.n_steps - h - t + 1, opts["stride"])
+    forecaster = state.fold()
+    n_nodes = series.n_nodes
     with Path(args.out).open("w") as fh:
         fh.write("timestamp,node_id,horizon_step,predicted,actual\n")
-        for a in anchors:
-            hist = series.values[:, a : a + h, :]
-            pred = state.predict(hist)
-            for step in range(t):
-                ts = a + h + step
-                for v, node in enumerate(series.node_ids):
-                    fh.write(
-                        f"{ts},{node},{step + 1},{pred[v, step, 0]:.6f},{series.values[v, ts, 0]:.6f}\n"
-                    )
+        for lo in range(0, anchors.size, _PREDICT_BLOCK):
+            block = anchors[lo : lo + _PREDICT_BLOCK]
+            hist = series.values[:, block[:, None] + np.arange(h)[None, :], :]  # (nodes, block, h, F)
+            preds = forecaster.predict(hist.transpose(1, 0, 2, 3).reshape(block.size * n_nodes, h, -1))
+            preds = preds.reshape(block.size, n_nodes, t, -1)
+            for a, pred in zip(block, preds):
+                for step in range(t):
+                    ts = a + h + step
+                    for v, node in enumerate(series.node_ids):
+                        fh.write(
+                            f"{ts},{node},{step + 1},{pred[v, step, 0]:.6f},{series.values[v, ts, 0]:.6f}\n"
+                        )
     print(f"wrote forecasts for {anchors.size} windows to {args.out}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +35,16 @@ def _parse_timestamp(raw: str, row: int) -> tuple[str, float]:
     except ValueError:
         pass
     try:
-        return "iso", datetime.fromisoformat(text).timestamp()
+        stamp = datetime.fromisoformat(text)
     except ValueError:
         raise CsvFormatError(
             f"row {row}: timestamp {text!r} is neither an integer index nor ISO-8601"
         ) from None
+    # Naive stamps are read as UTC, not host-local time: local clocks skip or
+    # repeat an hour at daylight-saving changes, which would break the spacing.
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return "iso", stamp.timestamp()
 
 
 def load_csv(path, interval_seconds: int | None = None) -> TimeSeriesTensor:
@@ -361,6 +366,8 @@ def load_checkpoint(path):
     if cur.pos != len(data):
         raise CheckpointError(f"{len(data) - cur.pos} trailing bytes after the last parameter payload")
 
+    if not (np.all(np.isfinite(k_re)) and np.all(np.isfinite(k_im))):
+        raise CheckpointError("kernel contains NaN or Inf entries")
     kernel = SpectralKernel(history, width)
     kernel.k_re[...] = k_re
     kernel.k_im[...] = k_im

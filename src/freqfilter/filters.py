@@ -248,6 +248,22 @@ def _apply_kernel(kernel: SpectralKernel, re: np.ndarray, im: np.ndarray):
     return re * kr - im * ki, re * ki + im * kr
 
 
+def adjoint_filter(kernel: SpectralKernel, g_re: np.ndarray, g_im: np.ndarray) -> np.ndarray:
+    """Transpose of the kernel's circulant filter, given rfft(g) as (n_half, B, width) planes.
+
+    Returns irfft(conj(K) * rfft(g)) with shape (n, B, width): the gradient
+    of the filtered window w.r.t. the lifted one, and the map that folds the
+    readout back through the filter.
+    """
+    n_half, b, d = g_re.shape
+    kr = kernel.k_re[:, None, :]
+    ki = kernel.k_im[:, None, :]
+    u_re = kr * g_re + ki * g_im
+    u_im = kr * g_im - ki * g_re
+    back = Spectrum(ComplexPlane(u_re.reshape(n_half, b * d), u_im.reshape(n_half, b * d)), kernel.window_length)
+    return irfft(back).reshape(kernel.window_length, b, d)
+
+
 def filter_forward(state: FilterModuleState, x, cache: bool = True) -> np.ndarray:
     """Lift, transform, multiply by the kernel, transform back.
 
@@ -315,13 +331,7 @@ def filter_backward(state: FilterModuleState, grad_out) -> np.ndarray:
     kernel.g_im += np.sum(s_re * t_im - s_im * t_re, axis=1)
     kernel.g_im[list(kernel.pinned_rows)] = 0.0
 
-    # conj(K) applied to the unscaled gradient spectrum.
-    kr = kernel.k_re[:, None, :]
-    ki = kernel.k_im[:, None, :]
-    u_re = kr * g_re + ki * g_im
-    u_im = kr * g_im - ki * g_re
-    back = Spectrum(ComplexPlane(u_re.reshape(n_half, b * d), u_im.reshape(n_half, b * d)), n)
-    grad_lifted = irfft(back).reshape(n, b, d).transpose(1, 0, 2)
+    grad_lifted = adjoint_filter(kernel, g_re, g_im).transpose(1, 0, 2)
 
     grad_x = state.lift.backward(grad_lifted)
     return grad_x[0] if state._single else grad_x

@@ -16,12 +16,15 @@ from .filters import (
     FilterModuleState,
     ParamSlot,
     PointwiseLinear,
+    _as_batched_window,
+    adjoint_filter,
     blend_with_original,
     filter_backward,
     filter_forward,
     moving_average,
 )
 from .metrics import MetricsReport, compute_metrics
+from .spectral import rfft
 from .tensor import TimeSeriesTensor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,6 +81,40 @@ class FilteredCopyLastStepPredictor:
         values = np.asarray(values, dtype=np.float64)
         smoothed = moving_average(values, self.window, time_axis=-2)
         return blend_with_original(values, smoothed)
+
+
+@dataclass(frozen=True)
+class AffineForecaster:
+    """A trained predictor folded into one affine map on the z-scored window.
+
+    weight has shape (history * features, horizon * features) and bias
+    (horizon * features,); forecasts are norm.invert(norm.apply(x) @ weight + bias).
+    Built by FilterPredictorState.fold; inference only.
+    """
+
+    weight: np.ndarray
+    bias: np.ndarray
+    norm: "NormStats"
+
+    @property
+    def features(self) -> int:
+        return self.norm.mean.size
+
+    @property
+    def history(self) -> int:
+        return self.weight.shape[0] // self.features
+
+    @property
+    def horizon(self) -> int:
+        return self.bias.size // self.features
+
+    def predict(self, histories) -> np.ndarray:
+        xb, single = _as_batched_window(histories, self.history, self.features, "history")
+        b = xb.shape[0]
+        flat = self.norm.apply(xb).reshape(b, self.history * self.features)
+        block = flat @ self.weight + self.bias
+        out = self.norm.invert(block.reshape(b, self.horizon, self.features))
+        return out[0] if single else out
 
 
 class FilterPredictorState:
@@ -142,13 +179,7 @@ class FilterPredictorState:
 
     def forward(self, histories, cache: bool = True) -> np.ndarray:
         norm = self._require_norm()
-        x = np.asarray(histories, dtype=np.float64)
-        single = x.ndim == 2
-        xb = x[None] if single else x
-        if xb.ndim != 3 or xb.shape[1] != self.history or xb.shape[2] != self.features:
-            raise ValueError(
-                f"history must have shape ({self.history}, {self.features}) per window, got {x.shape}"
-            )
+        xb, single = _as_batched_window(histories, self.history, self.features, "history")
         b = xb.shape[0]
         normalized = norm.apply(xb)
         filtered = filter_forward(self.filter, normalized, cache=cache)
@@ -179,8 +210,33 @@ class FilterPredictorState:
         g_raw = g_normalized / norm.std
         return g_raw[0] if self._single else g_raw
 
+    def fold(self) -> AffineForecaster:
+        """Compose lift, kernel and readout into one affine map on the z-scored window.
+
+        The filter is a circulant matrix C_d per lifted channel d, so the
+        readout applied after it equals the readout pulled back through C_d^T,
+        i.e. the adjoint filter applied to each (channel, output) column of the
+        readout weight. Contracting that with the lift weight gives the weight;
+        with the lift bias, plus the readout bias, the bias. One rfft and one
+        irfft over width * horizon * features columns, whatever the batch.
+        """
+        norm = self._require_norm()
+        h, d, out = self.history, self.width, self.horizon * self.features
+        # (history, outputs, width): one column per (output, channel) pair.
+        columns = self.readout.weight.reshape(h, d, out).transpose(0, 2, 1)
+        spectrum = rfft(columns.reshape(h, out * d))
+        n_half = spectrum.n_half
+        pulled = adjoint_filter(
+            self.filter.kernel,
+            spectrum.planes.re.reshape(n_half, out, d),
+            spectrum.planes.im.reshape(n_half, out, d),
+        )
+        weight = np.einsum("hod,fd->hfo", pulled, self.filter.lift.weight).reshape(h * self.features, out)
+        bias = np.einsum("hod,d->o", pulled, self.filter.lift.bias) + self.readout.bias
+        return AffineForecaster(weight, bias, norm)
+
     def predict(self, histories) -> np.ndarray:
-        return self.forward(histories, cache=False)
+        return self.fold().predict(histories)
 
     def parameters(self) -> list[ParamSlot]:
         return self.filter.parameters("filter") + self.readout.parameters("readout")

@@ -235,12 +235,13 @@ def evaluate_loss(state, data: WindowedDataset, split: str, chunk: int = 4096) -
     n = data.n_samples(split)
     if n == 0:
         return float("nan")
+    forecaster = state.fold()
     total_abs = 0.0
     count = 0
     ids = np.arange(n)
     for lo in range(0, n, chunk):
         hist, targ = data.gather(split, ids[lo : lo + chunk])
-        pred = state.forward(hist, cache=False)
+        pred = forecaster.predict(hist)
         total_abs += float(np.sum(np.abs(pred - targ)))
         count += targ.size
     return total_abs / count

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import freqfilter.cli
 from freqfilter.cli import main
-from freqfilter.data_io import load_csv
+from freqfilter.data_io import NormStats, load_csv, save_checkpoint
+from freqfilter.predictors import FilterPredictorState
 from freqfilter.filters import blend_with_original, moving_average
 
 
@@ -78,6 +80,32 @@ def test_train_predict_evaluate_pipeline(tmp_path, small_csv, capsys):
         "--csv-out", str(csv_out),
     ]) == 0
     assert csv_out.read_text().startswith("horizon_step,mae,rmse,mape,n,n_masked")
+
+
+def test_predict_csv_matches_unfolded_forward(tmp_path, small_csv, monkeypatch):
+    h, t = 6, 3
+    state = FilterPredictorState.initialize(h, t, 1, 3, NormStats([50.0], [8.0]), seed=5)
+    rng = np.random.default_rng(5)
+    for slot in state.parameters():
+        slot.value += rng.normal(0.0, 0.2, slot.value.shape)
+        slot.apply_pins()
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(state, ckpt)
+    series = load_csv(small_csv)
+    anchors = range(0, series.n_steps - h - t + 1, 5)
+    lines = ["timestamp,node_id,horizon_step,predicted,actual\n"]
+    for a in anchors:
+        pred = state.forward(series.values[:, a : a + h, :], cache=False)
+        for step in range(t):
+            ts = a + h + step
+            for v, node in enumerate(series.node_ids):
+                lines.append(f"{ts},{node},{step + 1},{pred[v, step, 0]:.6f},{series.values[v, ts, 0]:.6f}\n")
+
+    monkeypatch.setattr(freqfilter.cli, "_PREDICT_BLOCK", 16)  # several blocks, the last one partial
+    out = tmp_path / "forecast.csv"
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(small_csv), "--out", str(out), "--stride", "5"]) == 0
+    assert len(anchors) % 16 != 0
+    assert out.read_bytes() == "".join(lines).encode()
 
 
 def test_train_with_seed_list_reports_spread(tmp_path, small_csv, capsys):

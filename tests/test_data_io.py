@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import freqfilter
 
 from freqfilter.data_io import (
     CheckpointError,
@@ -42,6 +49,36 @@ class TestLoadCsv:
         t = load_csv(path)
         assert t.interval_seconds == 300
         assert t.values.shape == (1, 3, 1)
+
+    def test_naive_iso_stamps_ignore_host_timezone(self, tmp_path):
+        # 5-minute stamps across the 2024-03-10 US daylight-saving change; read
+        # as local time, 02:00-02:55 would not exist under a US zone.
+        path = tmp_path / "dst.csv"
+        rows = [f"2024-03-10T{m // 60:02d}:{m % 60:02d}:00,{m / 5:.1f}" for m in range(60, 240, 5)]
+        path.write_text("timestamp,a\n" + "\n".join(rows) + "\n")
+        env = dict(os.environ, TZ="PST8PDT,M3.2.0,M11.1.0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(freqfilter.__file__).resolve().parent.parent), env.get("PYTHONPATH", "")]
+        )
+        code = (
+            "import sys; from freqfilter.data_io import load_csv; "
+            "t = load_csv(sys.argv[1]); print(t.n_steps, t.interval_seconds)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [str(len(rows)), "300"]
+
+    def test_aware_iso_stamps_keep_their_offsets(self, tmp_path):
+        path = tmp_path / "aware.csv"
+        path.write_text(
+            "timestamp,a\n"
+            "2024-03-10T01:50:00-08:00,1.0\n"
+            "2024-03-10T01:55:00-08:00,2.0\n"
+            "2024-03-10T03:00:00-07:00,3.0\n"
+        )
+        assert load_csv(path).interval_seconds == 300
 
     def test_missing_cell_names_row_and_column(self, tmp_path):
         path = tmp_path / "broken.csv"
@@ -282,6 +319,15 @@ class TestCheckpoints:
         path = tmp_path / "pinned.ckpt"
         save_checkpoint(state, path)
         with pytest.raises(CheckpointError, match="pinned"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("plane", ["k_re", "k_im"])
+    def test_non_finite_kernel_rejected(self, tmp_path, plane):
+        state = trained_like_state()
+        getattr(state.filter.kernel, plane)[1, 2] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(state, path)
+        with pytest.raises(CheckpointError, match="kernel"):
             load_checkpoint(path)
 
     def test_checkpoint_without_norm_stats(self, tmp_path):

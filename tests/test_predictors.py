@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freqfilter.data_io import NormStats, SyntheticConfig, generate_synthetic
+import freqfilter.filters
+import freqfilter.predictors
+from freqfilter.data_io import NormStats, SyntheticConfig, fit_normalization, generate_synthetic
 from freqfilter.predictors import (
     CopyLastStepPredictor,
     FilteredCopyLastStepPredictor,
@@ -12,6 +16,7 @@ from freqfilter.predictors import (
     rolling_evaluate,
 )
 from freqfilter.tensor import TimeSeriesTensor
+from freqfilter.training import TrainConfig, make_windows, train
 
 
 def ramp_series(n_steps=60, slope=0.5, n_nodes=1):
@@ -125,6 +130,97 @@ class TestFilterPredictor:
         state = self.make_state()
         with pytest.raises(ValueError, match=r"\(12, 1\)"):
             filter_predict(state, np.zeros((24, 1)))
+
+
+def perturbed_state(history, horizon, features, width, seed=0, scale=0.3):
+    rng = np.random.default_rng(seed)
+    norm = NormStats(rng.normal(50.0, 5.0, features), rng.uniform(1.0, 10.0, features))
+    state = FilterPredictorState.initialize(history, horizon, features, width, norm, seed=seed)
+    for slot in state.parameters():
+        slot.value += rng.normal(0.0, scale, slot.value.shape)
+        slot.apply_pins()
+    return state
+
+
+def relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestFold:
+    @pytest.mark.parametrize(
+        "history,horizon,features,width",
+        [(12, 12, 1, 4), (11, 3, 2, 5), (10, 4, 2, 2), (67, 4, 1, 3)],
+    )
+    def test_folded_matches_unfolded_on_random_parameters(self, history, horizon, features, width):
+        state = perturbed_state(history, horizon, features, width, seed=history)
+        histories = np.random.default_rng(1).normal(50.0, 10.0, (9, history, features))
+        unfolded = state.forward(histories, cache=False)
+        assert relative_error(state.fold().predict(histories), unfolded) <= 1e-12
+        assert relative_error(state.predict(histories[0]), unfolded[0]) <= 1e-12
+
+    def test_folded_matches_unfolded_on_trained_model(self):
+        series = generate_synthetic(
+            SyntheticConfig(n_nodes=5, n_days=30, spike_probability=0.02, gaussian_noise_std=2.0, rng_seed=42)
+        )
+        ds = make_windows(series, 12, 12, (0.7, 0.1, 0.2))
+        norm = fit_normalization(series, ds.split_ranges["train"])
+        state = FilterPredictorState.initialize(12, 12, 1, 4, norm, seed=42)
+        cfg = TrainConfig(learning_rate=1e-3, epochs=50, batch_size=256, seed=42, early_stop_patience=5)
+        train(state, ds, cfg)
+        histories, _ = ds.gather("test", np.arange(ds.n_samples("test")))
+        unfolded = state.forward(histories, cache=False)
+        assert relative_error(state.fold().predict(histories), unfolded) <= 1e-12
+
+    @pytest.mark.parametrize("history,features,width", [(12, 1, 4), (9, 2, 3)])
+    def test_identity_init_folds_to_copy_last_step(self, history, features, width):
+        norm = NormStats(np.full(features, 50.0), np.full(features, 10.0))
+        state = FilterPredictorState.initialize(history, 5, features, width, norm, seed=3)
+        histories = np.random.default_rng(4).normal(50.0, 10.0, (8, history, features))
+        copied = copy_last_step(histories, 5)
+        assert relative_error(state.fold().predict(histories), copied) <= 1e-12
+
+    def test_fold_is_one_transform_pair_whatever_the_batch(self, monkeypatch):
+        history, horizon, features, width = 10, 3, 2, 4
+        state = perturbed_state(history, horizon, features, width)
+        calls = []
+
+        def spy(name, fn, columns_of):
+            def wrapped(arg):
+                result = fn(arg)
+                calls.append((name, columns_of(arg, result)))
+                return result
+            return wrapped
+
+        rfft_spy = spy("rfft", freqfilter.predictors.rfft, lambda x, _: np.shape(x)[1])
+        irfft_spy = spy("irfft", freqfilter.filters.irfft, lambda _, y: y.shape[1])
+        for module in (freqfilter.filters, freqfilter.predictors):
+            monkeypatch.setattr(module, "rfft", rfft_spy, raising=False)
+        monkeypatch.setattr(freqfilter.filters, "irfft", irfft_spy)
+
+        histories = np.random.default_rng(2).normal(50.0, 10.0, (500, history, features))
+        state.predict(histories)
+        columns = width * horizon * features
+        assert calls == [("rfft", columns), ("irfft", columns)]
+
+    def test_fold_requires_normalization(self):
+        state = FilterPredictorState.initialize(6, 3, 1, 2, norm=None)
+        with pytest.raises(ValueError, match="normalization"):
+            state.fold()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        history=st.integers(1, 24),
+        horizon=st.integers(1, 5),
+        features=st.integers(1, 3),
+        extra_width=st.integers(0, 3),
+        batch=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_folded_equals_unfolded_property(self, history, horizon, features, extra_width, batch, seed):
+        state = perturbed_state(history, horizon, features, features + extra_width, seed=seed)
+        histories = np.random.default_rng(seed + 1).normal(50.0, 10.0, (batch, history, features))
+        unfolded = state.forward(histories, cache=False)
+        assert relative_error(state.fold().predict(histories), unfolded) <= 1e-12
 
 
 class TestRollingEvaluate:
