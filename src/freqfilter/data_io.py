@@ -357,17 +357,22 @@ def load_checkpoint(path):
         std = cur.take_array((features,), "normalization std")
         norm = NormStats(mean, std)
 
-    lift_w = cur.take_array((features, width), "lift weight")
-    lift_b = cur.take_array((width,), "lift bias")
-    k_re = cur.take_array((n_half, width), "kernel real plane")
-    k_im = cur.take_array((n_half, width), "kernel imaginary plane")
-    readout_w = cur.take_array((history * width, horizon * features), "readout weight")
-    readout_b = cur.take_array((horizon * features,), "readout bias")
+    slots = (
+        ("lift weight", (features, width)),
+        ("lift bias", (width,)),
+        ("kernel real plane", (n_half, width)),
+        ("kernel imaginary plane", (n_half, width)),
+        ("readout weight", (history * width, horizon * features)),
+        ("readout bias", (horizon * features,)),
+    )
+    arrays = [cur.take_array(shape, what) for what, shape in slots]
     if cur.pos != len(data):
         raise CheckpointError(f"{len(data) - cur.pos} trailing bytes after the last parameter payload")
+    for (what, _), arr in zip(slots, arrays):
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{what} contains NaN or Inf entries")
+    lift_w, lift_b, k_re, k_im, readout_w, readout_b = arrays
 
-    if not (np.all(np.isfinite(k_re)) and np.all(np.isfinite(k_im))):
-        raise CheckpointError("kernel contains NaN or Inf entries")
     kernel = SpectralKernel(history, width)
     kernel.k_re[...] = k_re
     kernel.k_im[...] = k_im

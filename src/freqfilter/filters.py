@@ -173,7 +173,7 @@ class FilterModuleState:
     """Per-step lift followed by the learnable frequency-domain filter.
 
     Holds the forward activations (input window, lifted window, spectrum
-    before and after the kernel multiply) needed by filter_backward; a state
+    of the lifted window) needed by filter_backward; a state
     is therefore single-threaded-exclusive across a forward/backward pair.
     """
 
@@ -188,7 +188,6 @@ class FilterModuleState:
         self._x: np.ndarray | None = None
         self._lifted: np.ndarray | None = None
         self._spec_in: ComplexPlane | None = None
-        self._spec_out: ComplexPlane | None = None
         self._single = False
 
     @classmethod
@@ -287,7 +286,6 @@ def filter_forward(state: FilterModuleState, x, cache: bool = True) -> np.ndarra
         state._x = xb
         state._lifted = lifted
         state._spec_in = ComplexPlane(s_re, s_im)
-        state._spec_out = ComplexPlane(f_re, f_im)
         state._single = single
     return out[0] if single else out
 

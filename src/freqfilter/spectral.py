@@ -1,4 +1,4 @@
-"""Discrete Fourier transforms, reference and fast, plus a circular-convolution oracle.
+"""Discrete Fourier transforms on half spectra, plus reference oracles.
 
 Conventions: the forward transform carries no scale factor and uses the
 e^{-i 2 pi n k / N} kernel; the inverse carries the 1/N factor. Real windows
@@ -7,109 +7,19 @@ symmetry of the remaining bins is structural, so inverting a filtered half
 spectrum always produces a real sequence rather than one whose imaginary
 residue has to be discarded by convention.
 
-The fast path is a mixed-radix decimation-in-time recursion: pull out the
-smallest prime factor p of n and combine p interleaved sub-transforms with a
-p-point DFT matrix. Large prime lengths fall back to the chirp transform
-(Bluestein), which evaluates the DFT as a power-of-two circular convolution,
-keeping the whole path O(n log n) for every n.
+`rfft`/`irfft` are NumPy's real-input transforms along axis 0 (pocketfft,
+O(n log n) for every n), whose default normalisation is the convention
+above. The O(n^2) `dft_reference`/`idft_reference` and `circular_convolve`
+are independent oracles they are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .tensor import ComplexPlane
-
-# Prime lengths up to this bound use a direct DFT matrix; larger primes go
-# through the chirp transform.
-_DIRECT_PRIME_LIMIT = 61
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
-@lru_cache(maxsize=None)
-def _dft_matrix(p: int) -> np.ndarray:
-    k = np.arange(p)
-    m = np.exp(-2j * np.pi * np.outer(k, k) / p)
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _twiddles(n: int, p: int) -> np.ndarray:
-    # w[j, q] = exp(-2i pi j q / n) for j < p, q < n // p
-    j = np.arange(p)[:, None]
-    q = np.arange(n // p)[None, :]
-    w = np.exp(-2j * np.pi * (j * q) / n)
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=None)
-def _chirp_tables(n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    # j^2 reduced mod 2n keeps the phase argument small for exact angles.
-    j = np.arange(n, dtype=np.int64)
-    sq = (j * j) % (2 * n)
-    chirp = np.exp(-1j * np.pi * sq / n)
-    m = 1
-    while m < 2 * n - 1:
-        m <<= 1
-    kernel = np.zeros(m, dtype=np.complex128)
-    inv = np.conj(chirp)
-    kernel[:n] = inv
-    kernel[m - n + 1 :] = inv[1:][::-1]
-    kernel_hat = _fft(kernel[:, None])[:, 0]
-    chirp.setflags(write=False)
-    kernel_hat.setflags(write=False)
-    return chirp, kernel_hat, m
-
-
-def _chirp_fft(a: np.ndarray) -> np.ndarray:
-    # DFT of prime length via linear convolution with a conjugate chirp,
-    # evaluated as a power-of-two circular convolution.
-    n, cols = a.shape
-    chirp, kernel_hat, m = _chirp_tables(n)
-    padded = np.zeros((m, cols), dtype=np.complex128)
-    padded[:n] = a * chirp[:, None]
-    conv = _ifft(_fft(padded) * kernel_hat[:, None])
-    return chirp[:, None] * conv[:n]
-
-
-def _fft(a: np.ndarray) -> np.ndarray:
-    """Unnormalized forward transform along axis 0 of a 2-D complex array."""
-    n = a.shape[0]
-    if n == 1:
-        return a.copy()
-    p = _smallest_prime_factor(n)
-    if p == n:
-        if n <= _DIRECT_PRIME_LIMIT:
-            return _dft_matrix(n) @ a
-        return _chirp_fft(a)
-    m = n // p
-    cols = a.shape[1]
-    # grouped[q, j] = a[q * p + j]: column j is the j-th interleaved subsequence.
-    grouped = a.reshape(m, p * cols)
-    inner = _fft(grouped).reshape(m, p, cols)
-    z = inner * _twiddles(n, p).T[:, :, None]
-    combined = np.einsum("tj,qjc->tqc", _dft_matrix(p), z)
-    return combined.reshape(n, cols)
-
-
-def _ifft(spectrum: np.ndarray) -> np.ndarray:
-    n = spectrum.shape[0]
-    return np.conj(_fft(np.conj(spectrum))) / n
 
 
 def dft_reference(x) -> np.ndarray:
@@ -189,9 +99,7 @@ def rfft(x) -> Spectrum:
     if x.ndim not in (1, 2) or x.shape[0] == 0:
         raise ValueError(f"rfft expects a non-empty 1-D or 2-D real array, got shape {x.shape}")
     n = x.shape[0]
-    flat = x.reshape(n, -1).astype(np.complex128)
-    full = _fft(flat)
-    half = full[: half_length(n)]
+    half = np.fft.rfft(x.reshape(n, -1), axis=0)
     re = np.ascontiguousarray(half.real)
     im = np.ascontiguousarray(half.imag)
     # Boundary bins of a real signal are real; zero the rounding residue so
@@ -203,27 +111,12 @@ def rfft(x) -> Spectrum:
     return Spectrum(ComplexPlane(re.reshape(shape), im.reshape(shape)), n)
 
 
-def _expand_half(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
-    # Rebuild the full conjugate-symmetric spectrum from the stored half.
-    cols = re.shape[1]
-    full = np.empty((n, cols), dtype=np.complex128)
-    full[: half_length(n)] = re + 1j * im
-    mirrored = (n - 1) // 2
-    if mirrored >= 1:
-        k = np.arange(1, mirrored + 1)
-        full[n - k] = np.conj(full[k])
-    return full
-
-
 def spectrum_to_full(s: Spectrum) -> np.ndarray:
     """Full complex spectrum implied by the half spectrum's conjugate symmetry."""
-    n = s.window_length
-    re = s.planes.re.reshape(s.n_half, -1)
-    im = s.planes.im.reshape(s.n_half, -1)
-    full = _expand_half(re, im, n)
-    if s.planes.re.ndim == 1:
-        return full[:, 0]
-    return full
+    half = s.planes.re + 1j * s.planes.im
+    # Bins n-1 down to n//2+1 are the conjugates of bins 1 up to (n-1)//2.
+    mirrored = np.conj(half[1 : (s.window_length - 1) // 2 + 1][::-1])
+    return np.concatenate([half, mirrored])
 
 
 def irfft(s: Spectrum) -> np.ndarray:
@@ -234,8 +127,7 @@ def irfft(s: Spectrum) -> np.ndarray:
     # Planes are not defensively copied at construction, so revalidate here:
     # a violated boundary bin would ask for a non-real reconstruction.
     _check_boundary_bins(im, n)
-    full = _expand_half(re, im, n)
-    x = _ifft(full).real
+    x = np.fft.irfft(re + 1j * im, n=n, axis=0)
     if s.planes.re.ndim == 1:
         return np.ascontiguousarray(x[:, 0])
     return np.ascontiguousarray(x)

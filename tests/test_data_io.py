@@ -321,13 +321,25 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match="pinned"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("plane", ["k_re", "k_im"])
+    @pytest.mark.parametrize(
+        "plane", ["k_re", "k_im", "lift_weight", "lift_bias", "readout_weight", "readout_bias"]
+    )
     def test_non_finite_kernel_rejected(self, tmp_path, plane):
         state = trained_like_state()
-        getattr(state.filter.kernel, plane)[1, 2] = np.nan
+        arrays = {
+            "k_re": state.filter.kernel.k_re,
+            "k_im": state.filter.kernel.k_im,
+            "lift_weight": state.filter.lift.weight,
+            "lift_bias": state.filter.lift.bias,
+            "readout_weight": state.readout.weight,
+            "readout_bias": state.readout.bias,
+        }
+        bad = arrays[plane]
+        bad.flat[bad.size // 2] = np.inf if plane.endswith("bias") else np.nan
         path = tmp_path / "nan.ckpt"
         save_checkpoint(state, path)
-        with pytest.raises(CheckpointError, match="kernel"):
+        named = "kernel" if plane.startswith("k_") else plane.replace("_", " ")
+        with pytest.raises(CheckpointError, match=named):
             load_checkpoint(path)
 
     def test_checkpoint_without_norm_stats(self, tmp_path):

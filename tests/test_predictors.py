@@ -149,7 +149,7 @@ def relative_error(got, want):
 class TestFold:
     @pytest.mark.parametrize(
         "history,horizon,features,width",
-        [(12, 12, 1, 4), (11, 3, 2, 5), (10, 4, 2, 2), (67, 4, 1, 3)],
+        [(12, 12, 1, 4), (11, 3, 2, 5), (10, 4, 2, 2), (67, 4, 1, 3), (4099, 12, 1, 4)],
     )
     def test_folded_matches_unfolded_on_random_parameters(self, history, horizon, features, width):
         state = perturbed_state(history, horizon, features, width, seed=history)

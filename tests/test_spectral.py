@@ -70,7 +70,7 @@ class TestRfft:
         np.testing.assert_allclose(s.planes.re, np.ones(3), atol=1e-12)
         np.testing.assert_allclose(s.planes.im, np.zeros(3), atol=1e-12)
 
-    @pytest.mark.parametrize("n", list(range(1, 18)) + [31, 32, 97, 100])
+    @pytest.mark.parametrize("n", list(range(1, 18)) + [31, 32, 67, 97, 100, 127, 288, 1031])
     def test_matches_reference_bins(self, n):
         rng = np.random.default_rng(n)
         for _ in range(3):
@@ -113,7 +113,7 @@ class TestRfft:
 
 
 class TestIrfft:
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 100, 2016, 4099])
     def test_round_trip(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
