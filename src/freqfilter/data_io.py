@@ -351,13 +351,9 @@ def load_checkpoint(path):
             f"header n_half={n_half} inconsistent with history={history} (expected {half_length(history)})"
         )
     (has_norm,) = struct.unpack("<B", cur.take(1, "normalization flag"))
-    norm = None
-    if has_norm:
-        mean = cur.take_array((features,), "normalization mean")
-        std = cur.take_array((features,), "normalization std")
-        norm = NormStats(mean, std)
 
-    slots = (
+    norm_slots = (("normalization mean", (features,)), ("normalization std", (features,))) if has_norm else ()
+    slots = norm_slots + (
         ("lift weight", (features, width)),
         ("lift bias", (width,)),
         ("kernel real plane", (n_half, width)),
@@ -371,7 +367,13 @@ def load_checkpoint(path):
     for (what, _), arr in zip(slots, arrays):
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{what} contains NaN or Inf entries")
-    lift_w, lift_b, k_re, k_im, readout_w, readout_b = arrays
+    *norm_arrays, lift_w, lift_b, k_re, k_im, readout_w, readout_b = arrays
+    norm = None
+    if norm_arrays:
+        mean, std = norm_arrays
+        if np.any(std <= 0):
+            raise CheckpointError("normalization std has non-positive entries")
+        norm = NormStats(mean, std)
 
     kernel = SpectralKernel(history, width)
     kernel.k_re[...] = k_re

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum, half_bin_multiplicity, half_length, irfft, rfft
-from .tensor import ComplexPlane
+from .spectral import half_bin_multiplicity, half_length, irfft, rfft
 
 
 def moving_average(x, window: int, time_axis: int = 0) -> np.ndarray:
@@ -125,6 +124,11 @@ class SpectralKernel:
     training says otherwise. Imaginary parts at bin 0 and at the Nyquist bin
     (even windows) are pinned to zero: those frequencies must stay real for
     the filtered spectrum to invert to a real sequence.
+
+    The real and imaginary parts live in two real arrays, k_re and k_im:
+    they are the optimiser's parameter slots, k_im carries the pin mask, and
+    checkpoints store them in that order. `coefficients` joins them into the
+    complex kernel that the filter multiplies by.
     """
 
     def __init__(self, window_length: int, width: int):
@@ -141,6 +145,11 @@ class SpectralKernel:
     @property
     def n_half(self) -> int:
         return self.k_re.shape[0]
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The kernel as one complex (n_half, width) array, built from the two parameter planes."""
+        return self.k_re + 1j * self.k_im
 
     @property
     def pinned_rows(self) -> tuple[int, ...]:
@@ -172,8 +181,8 @@ class SpectralKernel:
 class FilterModuleState:
     """Per-step lift followed by the learnable frequency-domain filter.
 
-    Holds the forward activations (input window, lifted window, spectrum
-    of the lifted window) needed by filter_backward; a state
+    Holds the forward activations (input window, lifted window, and the
+    lifted window's complex half spectrum) needed by filter_backward; a state
     is therefore single-threaded-exclusive across a forward/backward pair.
     """
 
@@ -187,7 +196,7 @@ class FilterModuleState:
         self.window_length = kernel.window_length
         self._x: np.ndarray | None = None
         self._lifted: np.ndarray | None = None
-        self._spec_in: ComplexPlane | None = None
+        self._spec_in: np.ndarray | None = None
         self._single = False
 
     @classmethod
@@ -240,27 +249,14 @@ def _as_batched_window(x, window_length: int, features: int, what: str):
     return batched, single
 
 
-def _apply_kernel(kernel: SpectralKernel, re: np.ndarray, im: np.ndarray):
-    # (n_half, B, width) spectra times the shared (n_half, width) kernel.
-    kr = kernel.k_re[:, None, :]
-    ki = kernel.k_im[:, None, :]
-    return re * kr - im * ki, re * ki + im * kr
-
-
-def adjoint_filter(kernel: SpectralKernel, g_re: np.ndarray, g_im: np.ndarray) -> np.ndarray:
-    """Transpose of the kernel's circulant filter, given rfft(g) as (n_half, B, width) planes.
+def adjoint_filter(kernel: SpectralKernel, spectrum: np.ndarray) -> np.ndarray:
+    """Transpose of the kernel's circulant filter, given the complex rfft(g) as (n_half, B, width).
 
     Returns irfft(conj(K) * rfft(g)) with shape (n, B, width): the gradient
     of the filtered window w.r.t. the lifted one, and the map that folds the
     readout back through the filter.
     """
-    n_half, b, d = g_re.shape
-    kr = kernel.k_re[:, None, :]
-    ki = kernel.k_im[:, None, :]
-    u_re = kr * g_re + ki * g_im
-    u_im = kr * g_im - ki * g_re
-    back = Spectrum(ComplexPlane(u_re.reshape(n_half, b * d), u_im.reshape(n_half, b * d)), kernel.window_length)
-    return irfft(back).reshape(kernel.window_length, b, d)
+    return irfft(np.conj(kernel.coefficients)[:, None, :] * spectrum, kernel.window_length)
 
 
 def filter_forward(state: FilterModuleState, x, cache: bool = True) -> np.ndarray:
@@ -272,20 +268,14 @@ def filter_forward(state: FilterModuleState, x, cache: bool = True) -> np.ndarra
     """
     xb, single = _as_batched_window(x, state.window_length, state.in_features, "input window")
     lifted = state.lift.forward(xb, cache=cache)
-    b, n, d = lifted.shape
-    cols = lifted.transpose(1, 0, 2).reshape(n, b * d)
-    spectrum = rfft(cols)
-    n_half = spectrum.n_half
-    s_re = spectrum.planes.re.reshape(n_half, b, d)
-    s_im = spectrum.planes.im.reshape(n_half, b, d)
-    f_re, f_im = _apply_kernel(state.kernel, s_re, s_im)
-    filtered = Spectrum(ComplexPlane(f_re.reshape(n_half, b * d), f_im.reshape(n_half, b * d)), n)
-    out_cols = irfft(filtered)
-    out = out_cols.reshape(n, b, d).transpose(1, 0, 2)
+    # (n_half, B, width) spectra times the shared (n_half, width) kernel.
+    spectrum = rfft(lifted.transpose(1, 0, 2))
+    filtered = irfft(state.kernel.coefficients[:, None, :] * spectrum, state.window_length)
+    out = filtered.transpose(1, 0, 2)
     if cache:
         state._x = xb
         state._lifted = lifted
-        state._spec_in = ComplexPlane(s_re, s_im)
+        state._spec_in = spectrum
         state._single = single
     return out[0] if single else out
 
@@ -312,24 +302,15 @@ def filter_backward(state: FilterModuleState, grad_out) -> np.ndarray:
     if g.shape != (b, n, d):
         raise ValueError(f"gradient shape {g.shape} does not match forward output {(b, n, d)}")
 
-    cols = g.transpose(1, 0, 2).reshape(n, b * d)
-    gradient_spectrum = rfft(cols)
-    n_half = gradient_spectrum.n_half
-    g_re = gradient_spectrum.planes.re.reshape(n_half, b, d)
-    g_im = gradient_spectrum.planes.im.reshape(n_half, b, d)
-
+    spectrum = rfft(g.transpose(1, 0, 2))
     scale = (half_bin_multiplicity(n) / n)[:, None, None]
-    t_re = scale * g_re
-    t_im = scale * g_im
-
-    s_re = state._spec_in.re
-    s_im = state._spec_in.im
     kernel = state.kernel
-    kernel.g_re += np.sum(s_re * t_re + s_im * t_im, axis=1)
-    kernel.g_im += np.sum(s_re * t_im - s_im * t_re, axis=1)
+    grad_kernel = np.sum(np.conj(state._spec_in) * (scale * spectrum), axis=1)
+    kernel.g_re += grad_kernel.real
+    kernel.g_im += grad_kernel.imag
     kernel.g_im[list(kernel.pinned_rows)] = 0.0
 
-    grad_lifted = adjoint_filter(kernel, g_re, g_im).transpose(1, 0, 2)
+    grad_lifted = adjoint_filter(kernel, spectrum).transpose(1, 0, 2)
 
     grad_x = state.lift.backward(grad_lifted)
     return grad_x[0] if state._single else grad_x

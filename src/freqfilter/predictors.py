@@ -224,13 +224,7 @@ class FilterPredictorState:
         h, d, out = self.history, self.width, self.horizon * self.features
         # (history, outputs, width): one column per (output, channel) pair.
         columns = self.readout.weight.reshape(h, d, out).transpose(0, 2, 1)
-        spectrum = rfft(columns.reshape(h, out * d))
-        n_half = spectrum.n_half
-        pulled = adjoint_filter(
-            self.filter.kernel,
-            spectrum.planes.re.reshape(n_half, out, d),
-            spectrum.planes.im.reshape(n_half, out, d),
-        )
+        pulled = adjoint_filter(self.filter.kernel, rfft(columns))
         weight = np.einsum("hod,fd->hfo", pulled, self.filter.lift.weight).reshape(h * self.features, out)
         bias = np.einsum("hod,d->o", pulled, self.filter.lift.bias) + self.readout.bias
         return AffineForecaster(weight, bias, norm)
@@ -245,11 +239,6 @@ class FilterPredictorState:
         self.filter.lift.zero_grad()
         self.filter.kernel.zero_grad()
         self.readout.zero_grad()
-
-
-def filter_predict(state: FilterPredictorState, history) -> np.ndarray:
-    """Forecast from one (H, F) window or a batch of them; inference only, no caching."""
-    return state.predict(history)
 
 
 @dataclass(frozen=True)

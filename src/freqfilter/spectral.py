@@ -2,10 +2,11 @@
 
 Conventions: the forward transform carries no scale factor and uses the
 e^{-i 2 pi n k / N} kernel; the inverse carries the 1/N factor. Real windows
-are represented by their half spectrum (bins 0..floor(n/2)); conjugate
-symmetry of the remaining bins is structural, so inverting a filtered half
-spectrum always produces a real sequence rather than one whose imaginary
-residue has to be discarded by convention.
+are represented by their half spectrum: bins 0..floor(n/2) as a complex128
+array along axis 0. Conjugate symmetry of the remaining bins is structural,
+so inverting a filtered half spectrum always produces a real sequence rather
+than one whose imaginary residue has to be discarded by convention. The bin
+count fixes n only up to parity, so `irfft` takes the window length too.
 
 `rfft`/`irfft` are NumPy's real-input transforms along axis 0 (pocketfft,
 O(n log n) for every n), whose default normalisation is the convention
@@ -15,11 +16,7 @@ are independent oracles they are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .tensor import ComplexPlane
 
 
 def dft_reference(x) -> np.ndarray:
@@ -58,79 +55,56 @@ def half_bin_multiplicity(n: int) -> np.ndarray:
     return mult
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Half spectrum of a real window along the time axis.
-
-    planes holds bins 0..floor(n/2) of the full transform; the imaginary
-    part must vanish at bin 0 and, for even windows, at the Nyquist bin,
-    which is exactly the conjugate-symmetry boundary condition of a real
-    signal's spectrum.
-    """
-
-    planes: ComplexPlane
-    window_length: int
-
-    def __post_init__(self) -> None:
-        n = self.window_length
-        if n < 1:
-            raise ValueError(f"window_length must be >= 1, got {n}")
-        if self.planes.shape[0] != half_length(n):
-            raise ValueError(
-                f"expected {half_length(n)} bins for window length {n}, got {self.planes.shape[0]}"
-            )
-        _check_boundary_bins(self.planes.im, n)
-
-    @property
-    def n_half(self) -> int:
-        return self.planes.shape[0]
-
-
-def _check_boundary_bins(im: np.ndarray, n: int) -> None:
-    if np.any(im[0] != 0.0):
+def _check_half_spectrum(half: np.ndarray, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"window length must be >= 1, got {n}")
+    if half.ndim == 0 or half.shape[0] != half_length(n):
+        raise ValueError(f"expected {half_length(n)} bins for window length {n}, got shape {half.shape}")
+    # Conjugate symmetry of a real window's spectrum makes these bins real.
+    if np.any(half[0].imag != 0.0):
         raise ValueError("imaginary part at bin 0 must be zero for a real window")
-    if n % 2 == 0 and np.any(im[n // 2] != 0.0):
+    if n % 2 == 0 and np.any(half[n // 2].imag != 0.0):
         raise ValueError("imaginary part at the Nyquist bin must be zero for a real window")
 
 
-def rfft(x) -> Spectrum:
-    """Half spectrum of a real window; 2-D input transforms each column."""
+def rfft(x) -> np.ndarray:
+    """Complex half spectrum of a real window along axis 0; further axes are independent columns."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[0] == 0:
-        raise ValueError(f"rfft expects a non-empty 1-D or 2-D real array, got shape {x.shape}")
+    if x.ndim == 0 or x.shape[0] == 0:
+        raise ValueError(f"rfft expects a non-empty real array with time on axis 0, got shape {x.shape}")
     n = x.shape[0]
+    # NumPy transforms a 2-D (n, columns) array several times faster than
+    # the same columns laid out in more dimensions or strided.
     half = np.fft.rfft(x.reshape(n, -1), axis=0)
-    re = np.ascontiguousarray(half.real)
-    im = np.ascontiguousarray(half.imag)
+    half = half.reshape((half_length(n),) + x.shape[1:])
     # Boundary bins of a real signal are real; zero the rounding residue so
     # the invariant is exact rather than approximate.
-    im[0] = 0.0
+    half.imag[0] = 0.0
     if n % 2 == 0:
-        im[n // 2] = 0.0
-    shape = (half_length(n),) if x.ndim == 1 else (half_length(n), x.shape[1])
-    return Spectrum(ComplexPlane(re.reshape(shape), im.reshape(shape)), n)
+        half.imag[n // 2] = 0.0
+    return half
 
 
-def spectrum_to_full(s: Spectrum) -> np.ndarray:
+def spectrum_to_full(half, n: int) -> np.ndarray:
     """Full complex spectrum implied by the half spectrum's conjugate symmetry."""
-    half = s.planes.re + 1j * s.planes.im
+    half = np.asarray(half, dtype=np.complex128)
+    _check_half_spectrum(half, n)
     # Bins n-1 down to n//2+1 are the conjugates of bins 1 up to (n-1)//2.
-    mirrored = np.conj(half[1 : (s.window_length - 1) // 2 + 1][::-1])
+    mirrored = np.conj(half[1 : (n - 1) // 2 + 1][::-1])
     return np.concatenate([half, mirrored])
 
 
-def irfft(s: Spectrum) -> np.ndarray:
-    """Real window recovered from a half spectrum (1/n-scaled inverse)."""
-    n = s.window_length
-    re = s.planes.re.reshape(s.n_half, -1)
-    im = s.planes.im.reshape(s.n_half, -1)
-    # Planes are not defensively copied at construction, so revalidate here:
-    # a violated boundary bin would ask for a non-real reconstruction.
-    _check_boundary_bins(im, n)
-    x = np.fft.irfft(re + 1j * im, n=n, axis=0)
-    if s.planes.re.ndim == 1:
-        return np.ascontiguousarray(x[:, 0])
-    return np.ascontiguousarray(x)
+def irfft(half, n: int) -> np.ndarray:
+    """Real window of length n recovered from its half spectrum (1/n-scaled inverse).
+
+    The bin count must match n and the boundary bins must be real: a violated
+    boundary bin would ask for a non-real reconstruction, and a wrong bin
+    count would otherwise be cropped or zero-padded silently.
+    """
+    half = np.asarray(half, dtype=np.complex128)
+    _check_half_spectrum(half, n)
+    x = np.fft.irfft(half.reshape(half.shape[0], -1), n=n, axis=0)
+    return x.reshape((n,) + half.shape[1:])
 
 
 def circular_convolve(x, k) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense real/complex array containers shared by the rest of the toolkit.
+"""The time-series container shared by the rest of the toolkit.
 
 Time series are immutable once constructed; all mutation in the package
 happens on dedicated parameter/gradient buffers in the filter module.
@@ -57,43 +57,6 @@ class TimeSeriesTensor:
     @property
     def n_features(self) -> int:
         return self.values.shape[2]
-
-
-@dataclass(frozen=True)
-class ComplexPlane:
-    """Complex array stored as separate real/imaginary float planes."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self) -> None:
-        re = np.asarray(self.re, dtype=np.float64)
-        im = np.asarray(self.im, dtype=np.float64)
-        if re.shape != im.shape:
-            raise ValueError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.re.shape
-
-    @classmethod
-    def from_complex(cls, z: np.ndarray) -> "ComplexPlane":
-        z = np.asarray(z, dtype=np.complex128)
-        return cls(z.real.copy(), z.imag.copy())
-
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
-
-
-def elementwise_complex_multiply(a: ComplexPlane, b: ComplexPlane) -> ComplexPlane:
-    """Entrywise complex product of two equally shaped planes."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    re = a.re * b.re - a.im * b.im
-    im = a.re * b.im + a.im * b.re
-    return ComplexPlane(re, im)
 
 
 def slice_window(t: TimeSeriesTensor, start: int, length: int) -> TimeSeriesTensor:

@@ -322,7 +322,18 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "plane", ["k_re", "k_im", "lift_weight", "lift_bias", "readout_weight", "readout_bias"]
+        "plane",
+        [
+            "k_re",
+            "k_im",
+            "lift_weight",
+            "lift_bias",
+            "readout_weight",
+            "readout_bias",
+            "norm_mean",
+            "norm_std",
+            "norm_std_zero",
+        ],
     )
     def test_non_finite_kernel_rejected(self, tmp_path, plane):
         state = trained_like_state()
@@ -333,12 +344,21 @@ class TestCheckpoints:
             "lift_bias": state.filter.lift.bias,
             "readout_weight": state.readout.weight,
             "readout_bias": state.readout.bias,
+            "norm_mean": state.norm.mean,
+            "norm_std": state.norm.std,
+            "norm_std_zero": state.norm.std,
         }
         bad = arrays[plane]
-        bad.flat[bad.size // 2] = np.inf if plane.endswith("bias") else np.nan
+        if plane == "norm_std_zero":
+            bad.flat[bad.size // 2] = 0.0
+        else:
+            bad.flat[bad.size // 2] = np.inf if plane.endswith(("bias", "std")) else np.nan
         path = tmp_path / "nan.ckpt"
         save_checkpoint(state, path)
-        named = "kernel" if plane.startswith("k_") else plane.replace("_", " ")
+        if plane.startswith("norm_"):
+            named = "normalization " + plane.split("_")[1]
+        else:
+            named = "kernel" if plane.startswith("k_") else plane.replace("_", " ")
         with pytest.raises(CheckpointError, match=named):
             load_checkpoint(path)
 

@@ -11,7 +11,6 @@ from freqfilter.predictors import (
     FilteredCopyLastStepPredictor,
     FilterPredictorState,
     copy_last_step,
-    filter_predict,
     filtered_copy_last_step,
     rolling_evaluate,
 )
@@ -106,21 +105,21 @@ class TestFilterPredictor:
         state = self.make_state()
         histories = rng.normal(50.0, 10.0, (6, 12, 1))
         np.testing.assert_allclose(
-            filter_predict(state, histories), copy_last_step(histories, 12), atol=1e-6
+            state.predict(histories), copy_last_step(histories, 12), atol=1e-6
         )
 
     def test_single_window_and_batch_agree(self):
         state = self.make_state()
         rng = np.random.default_rng(2)
         h = rng.normal(50, 10, (12, 1))
-        single = filter_predict(state, h)
-        batch = filter_predict(state, h[None])
+        single = state.predict(h)
+        batch = state.predict(h[None])
         np.testing.assert_allclose(single, batch[0], atol=1e-12)
 
     def test_unfitted_normalization_rejected(self):
         state = FilterPredictorState.initialize(12, 12, 1, 4, norm=None)
         with pytest.raises(ValueError, match="normalization"):
-            filter_predict(state, np.zeros((12, 1)))
+            state.predict(np.zeros((12, 1)))
 
     def test_width_below_features_rejected(self):
         with pytest.raises(ValueError, match="width"):
@@ -129,7 +128,7 @@ class TestFilterPredictor:
     def test_wrong_history_shape_names_expectation(self):
         state = self.make_state()
         with pytest.raises(ValueError, match=r"\(12, 1\)"):
-            filter_predict(state, np.zeros((24, 1)))
+            state.predict(np.zeros((24, 1)))
 
 
 def perturbed_state(history, horizon, features, width, seed=0, scale=0.3):
@@ -185,14 +184,17 @@ class TestFold:
         calls = []
 
         def spy(name, fn, columns_of):
-            def wrapped(arg):
-                result = fn(arg)
-                calls.append((name, columns_of(arg, result)))
+            def wrapped(*args):
+                result = fn(*args)
+                calls.append((name, columns_of(args[0], result)))
                 return result
             return wrapped
 
-        rfft_spy = spy("rfft", freqfilter.predictors.rfft, lambda x, _: np.shape(x)[1])
-        irfft_spy = spy("irfft", freqfilter.filters.irfft, lambda _, y: y.shape[1])
+        def n_columns(a):
+            return int(np.prod(np.shape(a)[1:]))
+
+        rfft_spy = spy("rfft", freqfilter.predictors.rfft, lambda x, _: n_columns(x))
+        irfft_spy = spy("irfft", freqfilter.filters.irfft, lambda _, y: n_columns(y))
         for module in (freqfilter.filters, freqfilter.predictors):
             monkeypatch.setattr(module, "rfft", rfft_spy, raising=False)
         monkeypatch.setattr(freqfilter.filters, "irfft", irfft_spy)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from freqfilter.spectral import (
-    Spectrum,
     circular_convolve,
     dft_reference,
     half_bin_multiplicity,
@@ -12,7 +11,6 @@ from freqfilter.spectral import (
     rfft,
     spectrum_to_full,
 )
-from freqfilter.tensor import ComplexPlane, elementwise_complex_multiply
 
 
 class TestDftReference:
@@ -66,9 +64,10 @@ class TestIdftReference:
 class TestRfft:
     def test_impulse(self):
         s = rfft([1.0, 0.0, 0.0, 0.0])
-        assert s.n_half == 3
-        np.testing.assert_allclose(s.planes.re, np.ones(3), atol=1e-12)
-        np.testing.assert_allclose(s.planes.im, np.zeros(3), atol=1e-12)
+        assert s.shape == (3,)
+        assert s.dtype == np.complex128
+        np.testing.assert_allclose(s.real, np.ones(3), atol=1e-12)
+        np.testing.assert_allclose(s.imag, np.zeros(3), atol=1e-12)
 
     @pytest.mark.parametrize("n", list(range(1, 18)) + [31, 32, 67, 97, 100, 127, 288, 1031])
     def test_matches_reference_bins(self, n):
@@ -76,16 +75,14 @@ class TestRfft:
         for _ in range(3):
             x = rng.standard_normal(n)
             ref = dft_reference(x)[: half_length(n)]
-            s = rfft(x)
-            got = s.planes.re + 1j * s.planes.im
+            got = rfft(x)
             np.testing.assert_allclose(got, ref, atol=1e-9 * n)
 
     def test_pure_sine_concentrates_at_its_bin(self):
         n, k = 16, 3
         t = np.arange(n)
         x = np.sin(2.0 * np.pi * k * t / n)
-        s = rfft(x)
-        mags = np.abs(s.planes.re + 1j * s.planes.im)
+        mags = np.abs(rfft(x))
         assert mags[k] == pytest.approx(n / 2, abs=1e-9)
         others = np.delete(mags, k)
         assert np.max(others) < 1e-9
@@ -94,9 +91,9 @@ class TestRfft:
         rng = np.random.default_rng(12)
         for n in (2, 8, 9, 12):
             s = rfft(rng.standard_normal(n))
-            assert s.planes.im[0] == 0.0
+            assert s.imag[0] == 0.0
             if n % 2 == 0:
-                assert s.planes.im[-1] == 0.0
+                assert s.imag[-1] == 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -108,8 +105,8 @@ class TestRfft:
         s = rfft(x)
         for c in range(3):
             col = rfft(x[:, c])
-            np.testing.assert_allclose(s.planes.re[:, c], col.planes.re, atol=1e-12)
-            np.testing.assert_allclose(s.planes.im[:, c], col.planes.im, atol=1e-12)
+            np.testing.assert_allclose(s.real[:, c], col.real, atol=1e-12)
+            np.testing.assert_allclose(s.imag[:, c], col.imag, atol=1e-12)
 
 
 class TestIrfft:
@@ -117,39 +114,55 @@ class TestIrfft:
     def test_round_trip(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
-        np.testing.assert_allclose(irfft(rfft(x)), x, atol=1e-9)
+        np.testing.assert_allclose(irfft(rfft(x), n), x, atol=1e-9)
 
     def test_dc_only_spectrum_gives_constant(self):
         n, c = 8, 3.25
-        re = np.zeros(half_length(n))
-        re[0] = n * c
-        s = Spectrum(ComplexPlane(re, np.zeros_like(re)), n)
-        np.testing.assert_allclose(irfft(s), np.full(n, c), atol=1e-12)
+        half = np.zeros(half_length(n), dtype=np.complex128)
+        half[0] = n * c
+        np.testing.assert_allclose(irfft(half, n), np.full(n, c), atol=1e-12)
 
     def test_zero_spectrum_gives_zero(self):
         n = 5
-        s = Spectrum(ComplexPlane(np.zeros(half_length(n)), np.zeros(half_length(n))), n)
-        np.testing.assert_array_equal(irfft(s), np.zeros(n))
+        half = np.zeros(half_length(n), dtype=np.complex128)
+        np.testing.assert_array_equal(irfft(half, n), np.zeros(n))
 
     def test_violated_boundary_bin_rejected_at_construction(self):
         n = 4
-        im = np.zeros(half_length(n))
-        im[0] = 0.5
+        half = np.zeros(half_length(n), dtype=np.complex128)
+        half[0] = 0.5j
         with pytest.raises(ValueError, match="bin 0"):
-            Spectrum(ComplexPlane(np.zeros(half_length(n)), im), n)
+            irfft(half, n)
 
     def test_violated_nyquist_bin_rejected(self):
         n = 4
-        im = np.zeros(half_length(n))
-        im[-1] = 0.5
+        half = np.zeros(half_length(n), dtype=np.complex128)
+        half[-1] = 0.5j
         with pytest.raises(ValueError, match="Nyquist"):
-            Spectrum(ComplexPlane(np.zeros(half_length(n)), im), n)
+            irfft(half, n)
 
     def test_mutated_planes_rejected_by_irfft(self):
         s = rfft(np.arange(4.0))
-        s.planes.im[0] = 1.0  # planes are not defensively copied
+        s.imag[0] = 1.0
         with pytest.raises(ValueError, match="bin 0"):
-            irfft(s)
+            irfft(s, 4)
+
+    @pytest.mark.parametrize("n, bins", [(8, 4), (8, 6), (7, 5), (1, 2)])
+    def test_wrong_bin_count_rejected(self, n, bins):
+        with pytest.raises(ValueError, match=f"expected {half_length(n)} bins for window length {n}"):
+            irfft(np.zeros(bins, dtype=np.complex128), n)
+
+    def test_non_positive_window_length_rejected(self):
+        with pytest.raises(ValueError, match="window length must be >= 1"):
+            irfft(np.zeros(1, dtype=np.complex128), 0)
+
+    def test_batched_columns_round_trip(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((12, 3, 4))
+        s = rfft(x)
+        assert s.shape == (half_length(12), 3, 4)
+        np.testing.assert_allclose(s[:, 1, 2], rfft(x[:, 1, 2]), atol=1e-12)
+        np.testing.assert_allclose(irfft(s, 12), x, atol=1e-12)
 
 
 class TestCircularConvolve:
@@ -170,8 +183,7 @@ class TestCircularConvolve:
         rng = np.random.default_rng(14)
         x = rng.standard_normal(8)
         k = rng.standard_normal(8)
-        product = elementwise_complex_multiply(rfft(x).planes, rfft(k).planes)
-        via_fft = irfft(Spectrum(product, 8))
+        via_fft = irfft(rfft(x) * rfft(k), 8)
         np.testing.assert_allclose(circular_convolve(x, k), via_fft, atol=1e-8)
 
     def test_length_mismatch_rejected(self):
@@ -188,17 +200,17 @@ class TestSpectralProperties:
         combined = rfft(alpha * x + beta * y)
         sx, sy = rfft(x), rfft(y)
         np.testing.assert_allclose(
-            combined.planes.re, alpha * sx.planes.re + beta * sy.planes.re, atol=1e-9
+            combined.real, alpha * sx.real + beta * sy.real, atol=1e-9
         )
         np.testing.assert_allclose(
-            combined.planes.im, alpha * sx.planes.im + beta * sy.planes.im, atol=1e-9
+            combined.imag, alpha * sx.imag + beta * sy.imag, atol=1e-9
         )
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 32])
     def test_parseval(self, n):
         rng = np.random.default_rng(n + 100)
         x = rng.standard_normal(n)
-        full = spectrum_to_full(rfft(x))
+        full = spectrum_to_full(rfft(x), n)
         time_energy = float(np.sum(x * x))
         freq_energy = float(np.sum(np.abs(full) ** 2)) / n
         assert freq_energy == pytest.approx(time_energy, rel=1e-8)
@@ -213,6 +225,5 @@ class TestSpectralProperties:
         rng = np.random.default_rng(n + 200)
         x = rng.standard_normal(n)
         k = rng.standard_normal(n)
-        product = elementwise_complex_multiply(rfft(x).planes, rfft(k).planes)
-        via_fft = irfft(Spectrum(product, n))
+        via_fft = irfft(rfft(x) * rfft(k), n)
         np.testing.assert_allclose(circular_convolve(x, k), via_fft, atol=1e-8)

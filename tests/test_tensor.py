@@ -1,71 +1,13 @@
 import numpy as np
 import pytest
 
-from freqfilter.tensor import (
-    ComplexPlane,
-    TimeSeriesTensor,
-    elementwise_complex_multiply,
-    slice_window,
-)
+from freqfilter.tensor import TimeSeriesTensor, slice_window
 
 
 def series_from_values(values, interval=300):
     values = np.asarray(values, dtype=np.float64)
     ids = tuple(f"n{i}" for i in range(values.shape[0]))
     return TimeSeriesTensor(values, ids, interval)
-
-
-class TestComplexMultiply:
-    def test_multiplicative_identity(self):
-        rng = np.random.default_rng(0)
-        b = ComplexPlane(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
-        ones = ComplexPlane(np.ones((3, 2)), np.zeros((3, 2)))
-        out = elementwise_complex_multiply(ones, b)
-        np.testing.assert_array_equal(out.re, b.re)
-        np.testing.assert_array_equal(out.im, b.im)
-
-    def test_i_squared_is_minus_one(self):
-        i = ComplexPlane(np.zeros(1), np.ones(1))
-        out = elementwise_complex_multiply(i, i)
-        assert out.re[0] == -1.0
-        assert out.im[0] == 0.0
-
-    def test_matches_scalar_loop(self):
-        rng = np.random.default_rng(1)
-        a = ComplexPlane(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
-        b = ComplexPlane(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
-        out = elementwise_complex_multiply(a, b)
-        for r in range(4):
-            for c in range(2):
-                expect = complex(a.re[r, c], a.im[r, c]) * complex(b.re[r, c], b.im[r, c])
-                assert out.re[r, c] == pytest.approx(expect.real, abs=1e-15)
-                assert out.im[r, c] == pytest.approx(expect.imag, abs=1e-15)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        a = ComplexPlane(np.zeros((2, 2)), np.zeros((2, 2)))
-        b = ComplexPlane(np.zeros((3, 2)), np.zeros((3, 2)))
-        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 2\)"):
-            elementwise_complex_multiply(a, b)
-
-    def test_commutative_and_associative_on_unit_inputs(self):
-        rng = np.random.default_rng(2)
-        def unit_plane():
-            angle = rng.uniform(0, 2 * np.pi, (5, 3))
-            return ComplexPlane(np.cos(angle), np.sin(angle))
-
-        a, b, c = unit_plane(), unit_plane(), unit_plane()
-        ab = elementwise_complex_multiply(a, b)
-        ba = elementwise_complex_multiply(b, a)
-        np.testing.assert_allclose(ab.re, ba.re, atol=1e-12)
-        np.testing.assert_allclose(ab.im, ba.im, atol=1e-12)
-        left = elementwise_complex_multiply(ab, c)
-        right = elementwise_complex_multiply(a, elementwise_complex_multiply(b, c))
-        np.testing.assert_allclose(left.re, right.re, atol=1e-12)
-        np.testing.assert_allclose(left.im, right.im, atol=1e-12)
-
-    def test_plane_shape_invariant(self):
-        with pytest.raises(ValueError):
-            ComplexPlane(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestTimeSeriesTensor:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqfilter.data_io import SyntheticConfig, fit_normalization, generate_synthetic
 from freqfilter.filters import SpectralKernel
@@ -58,6 +60,26 @@ class TestMakeWindows:
             for anchor in ds.split_anchors[name]:
                 assert start <= anchor
                 assert anchor + 5 + 4 <= stop
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_steps=st.integers(2, 400),
+        history=st.integers(1, 30),
+        horizon=st.integers(1, 12),
+        weights=st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10)).filter(any),
+    )
+    def test_no_window_crosses_its_split_property(self, n_steps, history, horizon, weights):
+        ratios = tuple(w / sum(weights) for w in weights)
+        try:
+            ds = make_windows(toy_series(n_steps), history, horizon, ratios)
+        except ValueError as exc:
+            assert "split has" in str(exc)
+            return
+        for name, (start, stop) in ds.split_ranges.items():
+            assert 0 <= start <= stop <= n_steps
+            for anchor in ds.split_anchors[name]:
+                assert start <= anchor
+                assert anchor + history + horizon <= stop
 
     def test_targets_follow_history_immediately(self):
         series = toy_series(40)
