@@ -25,13 +25,15 @@ from .data_io import (
     save_csv,
 )
 from .filters import blend_with_original, moving_average
-from .metrics import METRICS_CSV_HEADER, compute_metrics, metrics_csv_line, render_metrics_table
+from .metrics import METRICS_CSV_HEADER, error_sums, metrics_csv_line, render_metrics_table, reports_from_sums
 from .predictors import (
     CopyLastStepPredictor,
     FilteredCopyLastStepPredictor,
     FilterPredictorState,
     RollingReport,
+    iter_windows,
     rolling_evaluate,
+    window_anchors,
 )
 from .tensor import TimeSeriesTensor, slice_window
 from .training import TrainConfig, TrainingDivergedError, make_windows, train
@@ -111,14 +113,14 @@ def _test_region(series: TimeSeriesTensor, history: int, horizon: int, ratios) -
     return slice_window(series, start, stop - start)
 
 
+def _rolling_rows(report: RollingReport) -> list[tuple[str, object]]:
+    steps = [(f"step {i + 1} ({report.step_minutes(i):g} min)", r) for i, r in enumerate(report.per_step)]
+    return steps + [("aggregate", report.aggregate)]
+
+
 def _print_rolling(name: str, report: RollingReport) -> None:
-    rows = [
-        (f"step {i + 1} ({report.step_minutes(i):g} min)", r)
-        for i, r in enumerate(report.per_step)
-    ]
-    rows.append(("aggregate", report.aggregate))
     print(f"== {name}")
-    print(render_metrics_table(rows))
+    print(render_metrics_table(_rolling_rows(report)))
     print()
 
 
@@ -221,65 +223,58 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-# Anchors forecast per call of the folded predictor in cmd_predict; bounds the
-# gathered histories to block * nodes * history values.
-_PREDICT_BLOCK = 4096
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     opts = _resolve(args, {"stride": 1})
     state = load_checkpoint(args.checkpoint)
     series = load_csv(args.data)
     h, t = state.history, state.horizon
-    if series.n_steps < h + t:
-        raise ValueError(f"series has {series.n_steps} steps; checkpoint needs at least {h + t}")
-    anchors = np.arange(0, series.n_steps - h - t + 1, opts["stride"])
+    anchors = window_anchors(series.n_steps, h, t, opts["stride"])
     forecaster = state.fold()
-    n_nodes = series.n_nodes
     with Path(args.out).open("w") as fh:
         fh.write("timestamp,node_id,horizon_step,predicted,actual\n")
-        for lo in range(0, anchors.size, _PREDICT_BLOCK):
-            block = anchors[lo : lo + _PREDICT_BLOCK]
-            hist = series.values[:, block[:, None] + np.arange(h)[None, :], :]  # (nodes, block, h, F)
-            preds = forecaster.predict(hist.transpose(1, 0, 2, 3).reshape(block.size * n_nodes, h, -1))
-            preds = preds.reshape(block.size, n_nodes, t, -1)
-            for a, pred in zip(block, preds):
+        for block, hist, targ in iter_windows(series.values, anchors, h, t):
+            preds = forecaster.predict(hist).reshape(block.size, series.n_nodes, t, -1)
+            for a, pred, act in zip(block, preds, targ.reshape(preds.shape)):
                 for step in range(t):
-                    ts = a + h + step
                     for v, node in enumerate(series.node_ids):
-                        fh.write(
-                            f"{ts},{node},{step + 1},{pred[v, step, 0]:.6f},{series.values[v, ts, 0]:.6f}\n"
-                        )
+                        fh.write(f"{a + h + step},{node},{step + 1},{pred[v, step, 0]:.6f},{act[v, step, 0]:.6f}\n")
     print(f"wrote forecasts for {anchors.size} windows to {args.out}")
     return 0
 
 
+_FORECAST_NUMBERS = (("horizon_step", int), ("predicted", float), ("actual", float))
+
+
 def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, object]]:
-    steps: dict[int, tuple[list[float], list[float]]] = {}
+    rows = []
     with Path(path).open() as fh:
         header = fh.readline().strip()
         if header != "timestamp,node_id,horizon_step,predicted,actual":
-            raise ValueError(f"{path}: not a forecast CSV (unexpected header {header!r})")
+            raise CsvFormatError(f"{path}: not a forecast CSV (unexpected header {header!r})")
         for line_num, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != 5:
-                raise ValueError(f"{path}:{line_num}: expected 5 cells, got {len(parts)}")
-            step = int(parts[2])
-            steps.setdefault(step, ([], []))
-            steps[step][0].append(float(parts[3]))
-            steps[step][1].append(float(parts[4]))
-    if not steps:
-        raise ValueError(f"{path}: no forecast rows")
-    rows = []
-    all_pred: list[float] = []
-    all_act: list[float] = []
-    for step in sorted(steps):
-        pred, act = steps[step]
-        rows.append((f"step {step}", compute_metrics(np.asarray(pred), np.asarray(act), mape_epsilon)))
-        all_pred.extend(pred)
-        all_act.extend(act)
-    rows.append(("aggregate", compute_metrics(np.asarray(all_pred), np.asarray(all_act), mape_epsilon)))
-    return rows
+                raise CsvFormatError(f"{path}:{line_num}: expected 5 cells, got {len(parts)}")
+            try:
+                rows.append((int(parts[2]), float(parts[3]), float(parts[4])))
+            except ValueError:
+                for (column, convert), text in zip(_FORECAST_NUMBERS, parts[2:]):
+                    try:
+                        convert(text)
+                    except ValueError:
+                        raise CsvFormatError(f"{path}:{line_num}: column {column!r}: non-numeric cell {text!r}") from None
+    if not rows:
+        raise CsvFormatError(f"{path}: no forecast rows")
+    table = np.array(rows)  # (rows, 3): horizon_step, predicted, actual
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        column = _FORECAST_NUMBERS[col][0]
+        raise CsvFormatError(f"{path}:{row + 2}: column {column!r}: non-finite cell {float(table[row, col])}")
+    labels, step_index = np.unique(table[:, 0].astype(np.int64), return_inverse=True)
+    steps = [table[step_index == k] for k in range(labels.size)]
+    per_step, aggregate = reports_from_sums(np.hstack([error_sums(s[:, 1:2], s[:, 2:3], mape_epsilon) for s in steps]))
+    return [(f"step {label}", r) for label, r in zip(labels, per_step)] + [("aggregate", aggregate)]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -298,8 +293,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             state, region, state.history, state.horizon,
             stride=opts["stride"], mape_epsilon=opts["mape_epsilon"],
         )
-        rows = [(f"step {i + 1} ({report.step_minutes(i):g} min)", r) for i, r in enumerate(report.per_step)]
-        rows.append(("aggregate", report.aggregate))
+        rows = _rolling_rows(report)
     print(render_metrics_table(rows))
     if args.csv_out:
         lines = [METRICS_CSV_HEADER]

@@ -65,6 +65,15 @@ def load_csv(path, interval_seconds: int | None = None) -> TimeSeriesTensor:
                 f"{path}: header must be 'timestamp,<node>,...', got {header!r}"
             )
         node_ids = [h.strip() for h in header[1:]]
+        first_column: dict[str, int] = {}
+        for col, node in enumerate(node_ids, start=2):
+            if not node:
+                raise CsvFormatError(f"{path}: header column {col}: empty node id")
+            if node in first_column:
+                raise CsvFormatError(
+                    f"{path}: header column {col}: duplicate node id {node!r} (first in column {first_column[node]})"
+                )
+            first_column[node] = col
 
         kinds: list[str] = []
         times: list[float] = []
@@ -107,7 +116,10 @@ def load_csv(path, interval_seconds: int | None = None) -> TimeSeriesTensor:
             raise CsvFormatError(f"row {bad}: timestamps must be equally spaced")
     if interval_seconds is None:
         if kinds[0] == "iso" and len(times) > 1:
-            interval_seconds = int(times[1] - times[0])
+            spacing = times[1] - times[0]
+            if spacing != int(spacing):
+                raise CsvFormatError(f"{path}: timestamp spacing {spacing:g} s is not a whole number of seconds")
+            interval_seconds = int(spacing)
         else:
             interval_seconds = DEFAULT_INTERVAL_SECONDS
 

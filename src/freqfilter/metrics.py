@@ -23,6 +23,38 @@ class MetricsReport:
     n_masked: int
 
 
+def error_sums(pred, target, mask_epsilon: float = 1e-6) -> np.ndarray:
+    """The one place errors are computed: (5, steps) sums over every axis but axis 1, the horizon step.
+
+    Rows: sum |e|, sum e^2, sum |e/y| over |y| > mask_epsilon, that count, all entries; blocks add up.
+    """
+    if mask_epsilon < 0:
+        raise ValueError(f"mask_epsilon must be >= 0, got {mask_epsilon}")
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    abs_err = np.abs(pred - target)
+    abs_target = np.abs(target)
+    kept = abs_target > mask_epsilon
+    pct = np.divide(abs_err, abs_target, out=np.zeros_like(abs_err), where=kept)
+    axes = (0, *range(2, pred.ndim))
+    sums = [x.sum(axis=axes) for x in (abs_err, np.square(abs_err), pct, kept)]
+    return np.array([*sums, np.full(pred.shape[1], pred.size // pred.shape[1])], dtype=np.float64)
+
+
+def reports_from_sums(sums: np.ndarray) -> tuple[tuple[MetricsReport, ...], MetricsReport]:
+    """(one report per horizon step, the aggregate over all steps) from summed error_sums."""
+    return tuple(_report(*column) for column in sums.T), _report(*sums.sum(axis=1))
+
+
+def _report(abs_sum, sq_sum, pct_sum, n_evaluated, n_total) -> MetricsReport:
+    mape = float(pct_sum / n_evaluated * 100.0) if n_evaluated > 0 else None
+    return MetricsReport(
+        float(abs_sum / n_total), float(np.sqrt(sq_sum / n_total)), mape, int(n_evaluated), int(n_total - n_evaluated)
+    )
+
+
 def compute_metrics(pred, target, mask_epsilon: float = 1e-6) -> MetricsReport:
     """MAE and RMSE over all entries; MAPE over targets with |target| > mask_epsilon.
 
@@ -30,23 +62,8 @@ def compute_metrics(pred, target, mask_epsilon: float = 1e-6) -> MetricsReport:
     never performed), so mask_epsilon=0 reproduces the unguarded percentage
     formula on every nonzero target.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if mask_epsilon < 0:
-        raise ValueError(f"mask_epsilon must be >= 0, got {mask_epsilon}")
-    diff = pred - target
-    mae = float(np.mean(np.abs(diff)))
-    rmse = float(np.sqrt(np.mean(diff * diff)))
-    mask = np.abs(target) > mask_epsilon
-    n_evaluated = int(np.count_nonzero(mask))
-    n_masked = int(target.size - n_evaluated)
-    if n_evaluated > 0:
-        mape = float(np.mean(np.abs(diff[mask] / target[mask])) * 100.0)
-    else:
-        mape = None
-    return MetricsReport(mae, rmse, mape, n_evaluated, n_masked)
+    sums = error_sums(np.expand_dims(pred, (0, 1)), np.expand_dims(target, (0, 1)), mask_epsilon)
+    return reports_from_sums(sums)[1]
 
 
 def _fmt(value: float | None) -> str:

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import ParamSlot
+from .metrics import error_sums, reports_from_sums
+from .predictors import iter_windows
 from .tensor import TimeSeriesTensor
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -72,9 +74,7 @@ class WindowedDataset:
 
     def sample(self, split: str, index: int) -> tuple[np.ndarray, np.ndarray]:
         """(history (N, H, F), target (N, T, F)) for one window."""
-        a = int(self.split_anchors[split][index])
-        h = self.values[:, a : a + self.history, :]
-        t = self.values[:, a + self.history : a + self.history + self.horizon, :]
+        _, h, t = next(iter_windows(self.values, self.split_anchors[split][[index]], self.history, self.horizon))
         return h, t
 
     def gather(self, split: str, sample_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,7 +170,13 @@ def adam_step(
     v += (1.0 - beta2) * grad * grad
     m_hat = m / (1.0 - beta1**step)
     v_hat = v / (1.0 - beta2**step)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    # param -= lr * m_hat / (sqrt(v_hat) + eps), in place: the same bits without three more
+    # parameter-sized temporaries, which set a training step's peak memory on long windows.
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += eps
+    m_hat *= lr
+    m_hat /= v_hat
+    param -= m_hat
 
 
 class Adam:
@@ -230,21 +236,14 @@ def _make_optimizer(cfg: TrainConfig, slots: list[ParamSlot]):
     return SGD(slots, cfg.learning_rate)
 
 
-def evaluate_loss(state, data: WindowedDataset, split: str, chunk: int = 4096) -> float:
+def evaluate_loss(state, data: WindowedDataset, split: str) -> float:
     """MAE of the predictor over a whole split, in original units; NaN if the split is empty."""
-    n = data.n_samples(split)
-    if n == 0:
+    if data.n_samples(split) == 0:
         return float("nan")
     forecaster = state.fold()
-    total_abs = 0.0
-    count = 0
-    ids = np.arange(n)
-    for lo in range(0, n, chunk):
-        hist, targ = data.gather(split, ids[lo : lo + chunk])
-        pred = forecaster.predict(hist)
-        total_abs += float(np.sum(np.abs(pred - targ)))
-        count += targ.size
-    return total_abs / count
+    windows = iter_windows(data.values, data.split_anchors[split], data.history, data.horizon)
+    sums = sum(error_sums(forecaster.predict(histories), targets) for _, histories, targets in windows)
+    return reports_from_sums(sums)[1].mae
 
 
 def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:

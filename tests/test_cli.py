@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import freqfilter.cli
+import freqfilter.predictors
 from freqfilter.cli import main
 from freqfilter.data_io import NormStats, load_csv, save_checkpoint
 from freqfilter.predictors import FilterPredictorState
@@ -101,11 +101,64 @@ def test_predict_csv_matches_unfolded_forward(tmp_path, small_csv, monkeypatch):
             for v, node in enumerate(series.node_ids):
                 lines.append(f"{ts},{node},{step + 1},{pred[v, step, 0]:.6f},{series.values[v, ts, 0]:.6f}\n")
 
-    monkeypatch.setattr(freqfilter.cli, "_PREDICT_BLOCK", 16)  # several blocks, the last one partial
+    monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 32)  # 16 anchors of 2 nodes: several blocks, the last one partial
     out = tmp_path / "forecast.csv"
     assert main(["predict", "--checkpoint", str(ckpt), "--data", str(small_csv), "--out", str(out), "--stride", "5"]) == 0
     assert len(anchors) % 16 != 0
     assert out.read_bytes() == "".join(lines).encode()
+
+
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_predict_rejects_bad_stride(tmp_path, small_csv, capsys, stride):
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(FilterPredictorState.initialize(6, 3, 1, 2, NormStats([50.0], [8.0])), ckpt)
+    out = tmp_path / "forecast.csv"
+    code = main(["predict", "--checkpoint", str(ckpt), "--data", str(small_csv), "--out", str(out), "--stride", stride])
+    assert code == 1
+    assert "error: stride must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_FORECAST_ROWS = [
+    "timestamp,node_id,horizon_step,predicted,actual",
+    "6,a,1,50.000000,51.000000",
+    "7,a,2,50.500000,49.000000",
+    "7,a,1,52.000000,53.000000",
+]
+
+
+@pytest.mark.parametrize(
+    "line, cells, match",
+    [
+        (2, "6,a,one,50.0,51.0", "column 'horizon_step': non-numeric cell 'one'"),
+        (3, "7,a,2,abc,49.0", "column 'predicted': non-numeric cell 'abc'"),
+        (4, "7,a,1,52.0,", "column 'actual': non-numeric cell ''"),
+        (2, "6,a,1,nan,51.0", "column 'predicted': non-finite cell nan"),
+        (4, "7,a,1,52.0,-inf", "column 'actual': non-finite cell -inf"),
+    ],
+    ids=["step", "predicted", "actual-empty", "predicted-nan", "actual-inf"],
+)
+def test_evaluate_forecast_locates_bad_cells(tmp_path, capsys, line, cells, match):
+    rows = list(_FORECAST_ROWS)
+    rows[line - 1] = cells
+    path = tmp_path / "forecast.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["evaluate", "--forecast", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}:{line}: {match}" in err
+
+
+def test_evaluate_forecast_scores_each_step(tmp_path, capsys):
+    path = tmp_path / "forecast.csv"
+    path.write_text("\n".join(_FORECAST_ROWS) + "\n")
+    csv_out = tmp_path / "metrics.csv"
+    assert main(["evaluate", "--forecast", str(path), "--csv-out", str(csv_out)]) == 0
+    lines = csv_out.read_text().splitlines()
+    assert lines[1:] == [
+        "1,1.000000,1.000000,1.923788,2,0",
+        "2,1.500000,1.500000,3.061224,1,0",
+        "aggregate,1.166667,1.190238,2.302934,3,0",
+    ]
 
 
 def test_train_with_seed_list_reports_spread(tmp_path, small_csv, capsys):

@@ -126,6 +126,36 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="header"):
             load_csv(wrong)
 
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ("timestamp,a,b,a", "header column 4: duplicate node id 'a' \\(first in column 2\\)"),
+            ("timestamp,a, a ", "header column 3: duplicate node id 'a'"),
+            ("timestamp,a,,b", "header column 3: empty node id"),
+            ("timestamp,a,b, ", "header column 4: empty node id"),
+        ],
+        ids=["duplicate", "duplicate-after-strip", "empty", "blank"],
+    )
+    def test_bad_node_ids_name_their_column(self, tmp_path, header, match):
+        path = tmp_path / "ids.csv"
+        n = header.count(",")
+        path.write_text(header + "\n" + "0" + ",1.0" * n + "\n" + "1" + ",2.0" * n + "\n")
+        with pytest.raises(CsvFormatError, match=match):
+            load_csv(path)
+
+    @pytest.mark.parametrize("spacing", ["00:00:01.500000", "00:00:00.500000"])
+    def test_fractional_iso_spacing_rejected(self, tmp_path, spacing):
+        seconds = float(spacing.rsplit(":", 1)[1])
+        path = tmp_path / "fraction.csv"
+        path.write_text(
+            "timestamp,a\n"
+            "2024-01-01T00:00:00,1.0\n"
+            f"2024-01-01T{spacing},2.0\n"
+            f"2024-01-01T00:00:{2 * seconds:09.6f},3.0\n"
+        )
+        with pytest.raises(CsvFormatError, match=f"spacing {seconds:g} s is not a whole number of seconds"):
+            load_csv(path)
+
     def test_save_with_iso_start_timestamp(self, tmp_path):
         from datetime import datetime
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,38 @@ class TestFold:
         assert relative_error(state.fold().predict(histories), unfolded) <= 1e-12
 
 
+def windows_by_hand(predictor, values, history, horizon, stride, predecessor_mode):
+    """(predictions, targets), each (windows * nodes, horizon, F), gathered one window at a time."""
+    n_nodes, total, _ = values.shape
+    keys = [(a, v) for a in range(0, total - history - horizon + 1, stride) for v in range(n_nodes)]
+    targets = np.stack([values[v, a + history : a + history + horizon] for a, v in keys])
+    if predecessor_mode:
+        source = predictor.transform_series(values)
+        preds = np.stack([source[v, a + history - 1 : a + history - 1 + horizon] for a, v in keys])
+    else:
+        preds = predictor.predict(np.stack([values[v, a : a + history] for a, v in keys]))
+    return preds, targets
+
+
+def plain_metrics(pred, target, eps):
+    """(mae, rmse, mape %, n_evaluated, n_masked) over whole arrays, straight from the definitions."""
+    err = pred - target
+    keep = np.abs(target) > eps
+    n_eval = int(np.count_nonzero(keep))
+    mape = float(np.mean(np.abs(err[keep] / target[keep])) * 100.0) if n_eval else None
+    return float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err))), mape, n_eval, err.size - n_eval
+
+
+def assert_report_matches(report, want):
+    got = (report.mae, report.rmse, report.mape_percent, report.n_evaluated, report.n_masked)
+    assert got[3:] == want[3:]
+    for g, w in zip(got[:3], want[:3]):
+        if w is None:
+            assert g is None
+        else:
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+
 class TestRollingEvaluate:
     def test_linear_ramp_error_grows_with_horizon_step(self):
         slope = 0.5
@@ -292,3 +326,64 @@ class TestRollingEvaluate:
         series = ramp_series(n_steps=40)
         report = rolling_evaluate(CopyLastStepPredictor(3), series, 6, 3)
         assert report.step_minutes(2) == pytest.approx(15.0)  # 3 steps at 300 s
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_nodes=st.integers(1, 4),
+        features=st.integers(1, 2),
+        history=st.integers(1, 8),
+        horizon=st.integers(1, 5),
+        extra_steps=st.integers(0, 30),
+        stride=st.integers(1, 4),
+        eps=st.sampled_from([0.0, 1e-6, 0.5, 40.0]),
+        kind=st.sampled_from(["copy", "filtered", "filter", "copy-predecessor", "filtered-predecessor"]),
+        block=st.sampled_from([1, 3, 7]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocked_scores_match_whole_array_formulas(
+        self, n_nodes, features, history, horizon, extra_steps, stride, eps, kind, block, seed
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (n_nodes, history + horizon + extra_steps, features)
+        values = rng.normal(50.0, 20.0, shape)
+        # exact zeros and targets at, just above and just below the MAPE threshold
+        specials = np.array([0.0, eps, -eps, eps * (1 + 2**-40), -eps * (1 - 2**-40)])
+        pick = rng.random(shape) < 0.3
+        values[pick] = rng.choice(specials, size=int(pick.sum()))
+        series = TimeSeriesTensor(values, tuple(f"n{i}" for i in range(n_nodes)))
+        predecessor_mode = kind.endswith("predecessor")
+        predictor = {
+            "copy": CopyLastStepPredictor(horizon),
+            "filtered": FilteredCopyLastStepPredictor(horizon, window=3),
+            "filter": perturbed_state(history, horizon, features, features + 1, seed=seed),
+        }[kind.split("-")[0]]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(freqfilter.predictors, "WINDOW_BLOCK", block)
+            report = rolling_evaluate(
+                predictor, series, history, horizon, stride=stride,
+                predecessor_mode=predecessor_mode, mape_epsilon=eps,
+            )
+
+        preds, targets = windows_by_hand(predictor, series.values, history, horizon, stride, predecessor_mode)
+        assert len(report.per_step) == horizon
+        for step, got in enumerate(report.per_step):
+            assert_report_matches(got, plain_metrics(preds[:, step], targets[:, step], eps))
+        assert_report_matches(report.aggregate, plain_metrics(preds, targets, eps))
+
+    def test_memory_is_one_block_whatever_the_window_count(self, monkeypatch):
+        monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 256)
+        predictor = CopyLastStepPredictor(12)
+
+        def peak(n_steps):
+            values = np.random.default_rng(n_steps).normal(50.0, 10.0, (8, n_steps, 1))
+            series = TimeSeriesTensor(values, tuple(f"n{i}" for i in range(8)))
+            tracemalloc.start()
+            try:
+                rolling_evaluate(predictor, series, 12, 12)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1_000), peak(4_000)
+        assert large <= 1.5 * small, (small, large)
