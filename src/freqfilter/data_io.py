@@ -9,6 +9,7 @@ can never fail later because of shape.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -212,21 +213,28 @@ def generate_synthetic(cfg: SyntheticConfig) -> TimeSeriesTensor:
     depths = rng.uniform(*cfg.rush_hour_depth_range, (len(cfg.rush_hour_centers), n))
 
     tod = (np.arange(steps) * cfg.interval_seconds) % _SECONDS_PER_DAY
-    trend = base[:, None] + amplitude[:, None] * np.sin(
-        2.0 * np.pi * tod[None, :] / _SECONDS_PER_DAY + phase[:, None]
-    )
+    # Built in place, dropping each draw once used, so the series costs a few
+    # copies of itself at most. Every step is the same IEEE operation on the
+    # same operands as max(base + amplitude * sin - dips + noise + spikes,
+    # min_value), so the values keep their bits.
+    trend = np.sin(2.0 * np.pi * tod[None, :] / _SECONDS_PER_DAY + phase[:, None])
+    trend *= amplitude[:, None]
+    trend += base[:, None]
     for d, center in enumerate(cfg.rush_hour_centers):
         dist = _circular_tod_distance(tod, center)
         bump = np.exp(-(dist**2) / (2.0 * cfg.rush_hour_width_seconds**2))
         trend -= depths[d][:, None] * bump[None, :]
 
-    noise = rng.normal(0.0, 1.0, (n, steps)) * cfg.gaussian_noise_std
-    spike_draws = rng.random((n, steps))
-    magnitudes = rng.uniform(*cfg.spike_magnitude_range, (n, steps))
-    signs = np.where(rng.random((n, steps)) < 0.5, -1.0, 1.0)
-    spikes = np.where(spike_draws < cfg.spike_probability, signs * magnitudes, 0.0)
-
-    values = np.maximum(trend + noise + spikes, cfg.min_value)
+    values = rng.normal(0.0, 1.0, (n, steps))
+    values *= cfg.gaussian_noise_std
+    values += trend
+    del trend
+    spiked = rng.random((n, steps)) < cfg.spike_probability
+    magnitudes = rng.uniform(*cfg.spike_magnitude_range, (n, steps))[spiked]
+    negative = (rng.random((n, steps)) < 0.5)[spiked]
+    # Unspiked entries would add 0.0, which leaves every value's bits as they are.
+    values[spiked] += np.where(negative, -magnitudes, magnitudes)
+    np.maximum(values, cfg.min_value, out=values)
     node_ids = tuple(f"node_{i:03d}" for i in range(n))
     return TimeSeriesTensor(values=values[:, :, None], node_ids=node_ids, interval_seconds=cfg.interval_seconds)
 
@@ -335,7 +343,8 @@ class _Cursor:
         return out
 
     def take_array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        count = int(np.prod(shape))
+        # Python ints: header dimensions are uint32, and their product can overflow int64.
+        count = math.prod(shape)
         raw = self.take(count * 8, what)
         return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 

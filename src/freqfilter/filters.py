@@ -2,8 +2,10 @@
 
 The trainable module lifts each time step with a per-step linear map, moves
 every lifted channel to the frequency domain, multiplies by a learned complex
-kernel, and transforms back. Forward activations are cached on the module so
-the analytic backward pass can accumulate parameter gradients.
+kernel, and transforms back. Everything here is linear, so the predictor
+folds the module into one affine map and trains through that map (see
+FilterPredictorState.fold_and_pullback); `filter_forward` is the direct
+evaluation the fold is tested against, and it caches nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import half_bin_multiplicity, half_length, irfft, rfft
+from .spectral import half_length, irfft, rfft
 
 
 def moving_average(x, window: int, time_axis: int = 0) -> np.ndarray:
@@ -76,7 +78,6 @@ class PointwiseLinear:
         self.bias = bias
         self.g_weight = np.zeros_like(weight)
         self.g_bias = np.zeros_like(bias)
-        self._input: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, d_in: int, d_out: int) -> "PointwiseLinear":
@@ -90,25 +91,10 @@ class PointwiseLinear:
     def d_out(self) -> int:
         return self.weight.shape[1]
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.d_in:
             raise ValueError(f"expected trailing width {self.d_in}, got {x.shape[-1]}")
-        if cache:
-            self._input = x
         return x @ self.weight + self.bias
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise RuntimeError("backward called without a cached forward pass")
-        x2 = self._input.reshape(-1, self.d_in)
-        g2 = grad_out.reshape(-1, self.d_out)
-        self.g_weight += x2.T @ g2
-        self.g_bias += g2.sum(axis=0)
-        return (g2 @ self.weight.T).reshape(self._input.shape)
-
-    def zero_grad(self) -> None:
-        self.g_weight[...] = 0.0
-        self.g_bias[...] = 0.0
 
     def parameters(self, prefix: str) -> list[ParamSlot]:
         return [
@@ -167,10 +153,6 @@ class SpectralKernel:
         self.k_im[rows] = 0.0
         self.g_im[rows] = 0.0
 
-    def zero_grad(self) -> None:
-        self.g_re[...] = 0.0
-        self.g_im[...] = 0.0
-
     def parameters(self, prefix: str) -> list[ParamSlot]:
         return [
             ParamSlot(f"{prefix}.re", self.k_re, self.g_re),
@@ -181,9 +163,9 @@ class SpectralKernel:
 class FilterModuleState:
     """Per-step lift followed by the learnable frequency-domain filter.
 
-    Holds the forward activations (input window, lifted window, and the
-    lifted window's complex half spectrum) needed by filter_backward; a state
-    is therefore single-threaded-exclusive across a forward/backward pair.
+    Holds parameters and their gradient buffers only, no activations: the
+    gradients are written by the predictor's pullback, which needs nothing
+    from a forward pass but the input windows.
     """
 
     def __init__(self, lift: PointwiseLinear, kernel: SpectralKernel):
@@ -194,10 +176,6 @@ class FilterModuleState:
         self.lift = lift
         self.kernel = kernel
         self.window_length = kernel.window_length
-        self._x: np.ndarray | None = None
-        self._lifted: np.ndarray | None = None
-        self._spec_in: np.ndarray | None = None
-        self._single = False
 
     @classmethod
     def initialize(
@@ -249,17 +227,7 @@ def _as_batched_window(x, window_length: int, features: int, what: str):
     return batched, single
 
 
-def adjoint_filter(kernel: SpectralKernel, spectrum: np.ndarray) -> np.ndarray:
-    """Transpose of the kernel's circulant filter, given the complex rfft(g) as (n_half, B, width).
-
-    Returns irfft(conj(K) * rfft(g)) with shape (n, B, width): the gradient
-    of the filtered window w.r.t. the lifted one, and the map that folds the
-    readout back through the filter.
-    """
-    return irfft(np.conj(kernel.coefficients)[:, None, :] * spectrum, kernel.window_length)
-
-
-def filter_forward(state: FilterModuleState, x, cache: bool = True) -> np.ndarray:
+def filter_forward(state: FilterModuleState, x) -> np.ndarray:
     """Lift, transform, multiply by the kernel, transform back.
 
     Accepts one (n, F) window or a batch (B, n, F); returns the filtered
@@ -267,56 +235,9 @@ def filter_forward(state: FilterModuleState, x, cache: bool = True) -> np.ndarra
     pass-through of the lifted signal.
     """
     xb, single = _as_batched_window(x, state.window_length, state.in_features, "input window")
-    lifted = state.lift.forward(xb, cache=cache)
+    lifted = state.lift.forward(xb)
     # (n_half, B, width) spectra times the shared (n_half, width) kernel.
     spectrum = rfft(lifted.transpose(1, 0, 2))
     filtered = irfft(state.kernel.coefficients[:, None, :] * spectrum, state.window_length)
     out = filtered.transpose(1, 0, 2)
-    if cache:
-        state._x = xb
-        state._lifted = lifted
-        state._spec_in = spectrum
-        state._single = single
     return out[0] if single else out
-
-
-def filter_backward(state: FilterModuleState, grad_out) -> np.ndarray:
-    """Accumulate kernel and lift gradients; return the gradient w.r.t. the input window.
-
-    Let s be the cached input spectrum and g the incoming gradient. Pulling g
-    back through the 1/n inverse transform weights each half-spectrum bin by
-    its multiplicity c/n (interior bins stand for two conjugate full-spectrum
-    bins), giving t = (c/n) * rfft(g). The kernel gradient is conj(s) * t per
-    bin and channel, summed over the batch; the gradient w.r.t. the lifted
-    signal is irfft(conj(K) * rfft(g)), where the c/n weights cancel against
-    the transform pair. Pinned imaginary bins stay exactly zero throughout.
-    """
-    if state._x is None or state._spec_in is None:
-        raise RuntimeError("filter_backward requires a cached forward pass")
-    g = np.asarray(grad_out, dtype=np.float64)
-    if state._single:
-        if g.ndim != 2:
-            raise ValueError(f"expected a single (n, d) gradient window, got shape {g.shape}")
-        g = g[None]
-    b, n, d = state._lifted.shape
-    if g.shape != (b, n, d):
-        raise ValueError(f"gradient shape {g.shape} does not match forward output {(b, n, d)}")
-
-    spectrum = rfft(g.transpose(1, 0, 2))
-    scale = (half_bin_multiplicity(n) / n)[:, None, None]
-    kernel = state.kernel
-    grad_kernel = np.sum(np.conj(state._spec_in) * (scale * spectrum), axis=1)
-    kernel.g_re += grad_kernel.real
-    kernel.g_im += grad_kernel.imag
-    kernel.g_im[list(kernel.pinned_rows)] = 0.0
-
-    grad_lifted = adjoint_filter(kernel, spectrum).transpose(1, 0, 2)
-
-    grad_x = state.lift.backward(grad_lifted)
-    return grad_x[0] if state._single else grad_x
-
-
-def zero_gradients(state: FilterModuleState) -> None:
-    """Clear all gradient accumulators on the module."""
-    state.lift.zero_grad()
-    state.kernel.zero_grad()

@@ -8,7 +8,7 @@ with parameters shared across nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -17,14 +17,12 @@ from .filters import (
     ParamSlot,
     PointwiseLinear,
     _as_batched_window,
-    adjoint_filter,
     blend_with_original,
-    filter_backward,
     filter_forward,
     moving_average,
 )
 from .metrics import MetricsReport, error_sums, reports_from_sums
-from .spectral import rfft
+from .spectral import half_bin_multiplicity, irfft, rfft
 from .tensor import TimeSeriesTensor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,7 +92,7 @@ class AffineForecaster:
 
     weight has shape (history * features, horizon * features) and bias
     (horizon * features,); forecasts are norm.invert(norm.apply(x) @ weight + bias).
-    Built by FilterPredictorState.fold; inference only.
+    Built by FilterPredictorState.fold for inference and for every training step.
     """
 
     weight: np.ndarray
@@ -155,8 +153,6 @@ class FilterPredictorState:
         self.history = history
         self.features = features
         self.width = width
-        self._batch: int | None = None
-        self._single = False
 
     @classmethod
     def initialize(
@@ -182,68 +178,87 @@ class FilterPredictorState:
             raise ValueError("normalization statistics are not fitted; supply NormStats before predicting")
         return self.norm
 
-    def forward(self, histories, cache: bool = True) -> np.ndarray:
+    def forward(self, histories) -> np.ndarray:
+        """Run the layers one after another: the direct evaluation that fold() is tested against."""
         norm = self._require_norm()
         xb, single = _as_batched_window(histories, self.history, self.features, "history")
         b = xb.shape[0]
-        normalized = norm.apply(xb)
-        filtered = filter_forward(self.filter, normalized, cache=cache)
-        flat = filtered.reshape(b, self.history * self.width)
-        block = self.readout.forward(flat, cache=cache)
+        filtered = filter_forward(self.filter, norm.apply(xb))
+        block = self.readout.forward(filtered.reshape(b, self.history * self.width))
         out = norm.invert(block.reshape(b, self.horizon, self.features))
-        if cache:
-            self._batch = b
-            self._single = single
         return out[0] if single else out
 
-    def backward(self, grad_out) -> np.ndarray:
-        norm = self._require_norm()
-        if self._batch is None:
-            raise RuntimeError("backward called without a cached forward pass")
-        g = np.asarray(grad_out, dtype=np.float64)
-        if self._single:
-            g = g[None]
-        if g.shape != (self._batch, self.horizon, self.features):
-            raise ValueError(
-                f"gradient shape {g.shape} does not match forecast shape "
-                f"{(self._batch, self.horizon, self.features)}"
-            )
-        g_block = (g * norm.std).reshape(self._batch, self.horizon * self.features)
-        g_flat = self.readout.backward(g_block)
-        g_filtered = g_flat.reshape(self._batch, self.history, self.width)
-        g_normalized = filter_backward(self.filter, g_filtered)
-        g_raw = g_normalized / norm.std
-        return g_raw[0] if self._single else g_raw
-
     def fold(self) -> AffineForecaster:
-        """Compose lift, kernel and readout into one affine map on the z-scored window.
+        """The predictor as one affine map on the z-scored window; see fold_and_pullback."""
+        return self.fold_and_pullback()[0]
+
+    def fold_and_pullback(self) -> tuple[AffineForecaster, Callable[..., np.ndarray]]:
+        """Compose lift, kernel and readout into one affine map, and return it with its pullback.
 
         The filter is a circulant matrix C_d per lifted channel d, so the
         readout applied after it equals the readout pulled back through C_d^T,
-        i.e. the adjoint filter applied to each (channel, output) column of the
-        readout weight. Contracting that with the lift weight gives the weight;
-        with the lift bias, plus the readout bias, the bias. One rfft and one
-        irfft over width * horizon * features columns, whatever the batch.
+        whose spectrum is conj(K_d) times the spectrum of each (channel,
+        output) readout column. Contracting that with the lift weight and
+        transforming back gives the weight; its bin 0 (the column sums)
+        contracted with the lift bias, plus the readout bias, gives the bias.
+        One rfft over width * horizon * features columns and one irfft over
+        features * horizon * features columns, whatever the batch.
+
+        pullback(histories, grad_out) takes the gradient of a loss w.r.t. the
+        forecasts of those histories, overwrites every parameter slot's
+        gradient buffer (pinned imaginary bins exactly 0) and returns the
+        gradient w.r.t. the histories. It reuses the spectra above and costs
+        one rfft over features * horizon * features columns and one irfft
+        over width * horizon * features columns, whatever the batch.
         """
         norm = self._require_norm()
-        h, d, out = self.history, self.width, self.horizon * self.features
-        # (history, outputs, width): one column per (output, channel) pair.
-        columns = self.readout.weight.reshape(h, d, out).transpose(0, 2, 1)
-        pulled = adjoint_filter(self.filter.kernel, rfft(columns))
-        weight = np.einsum("hod,fd->hfo", pulled, self.filter.lift.weight).reshape(h * self.features, out)
-        bias = np.einsum("hod,d->o", pulled, self.filter.lift.bias) + self.readout.bias
-        return AffineForecaster(weight, bias, norm)
+        h, d, f, out = self.history, self.width, self.features, self.horizon * self.features
+        lift, kernel, readout = self.filter.lift, self.filter.kernel, self.readout
+        # (n_half, outputs, width): one readout column per (output, channel) pair.
+        spectrum = rfft(readout.weight.reshape(h, d, out).transpose(0, 2, 1))
+        pulled = np.conj(kernel.coefficients)[:, None, :] * spectrum
+        weight = irfft(np.einsum("kod,fd->kfo", pulled, lift.weight), h).reshape(h * f, out)
+        bias = pulled[0].real @ lift.bias + readout.bias
+        forecaster = AffineForecaster(weight, bias, norm)
+
+        def pullback(histories, grad_out) -> np.ndarray:
+            xb, single = _as_batched_window(histories, h, f, "history")
+            b = xb.shape[0]
+            g = np.asarray(grad_out, dtype=np.float64)
+            expected = (self.horizon, f) if single else (b, self.horizon, f)
+            if g.shape != expected:
+                raise ValueError(f"gradient shape {g.shape} does not match forecast shape {expected}")
+            g_block = (g * norm.std).reshape(b, out)
+            g_bias = g_block.sum(axis=0)
+            g_weight = norm.apply(xb).reshape(b, h * f).T @ g_block
+            # Through weight = irfft(Q): a time-domain inner product is the
+            # c/n-weighted sum over half-spectrum bins of Re(conj(A) B), with
+            # c = 1 or 2 full-spectrum bins per half-spectrum bin.
+            g_spec = rfft(g_weight.reshape(h, f, out))
+            weights = half_bin_multiplicity(h) / h
+            lift.g_weight[...] = np.einsum("k,kfo,kod->fd", weights, np.conj(g_spec), pulled).real
+            lift.g_bias[...] = g_bias @ pulled[0].real
+            # t: the gradient w.r.t. the pulled spectrum, without its c/n weights,
+            # which the readout's transform pair cancels; the bias reads bin 0 only.
+            t = np.einsum("kfo,fd->kod", g_spec, lift.weight)
+            t[0] += h * np.outer(g_bias, lift.bias)
+            g_kernel = np.einsum("k,kod,kod->kd", weights, np.conj(t), spectrum)
+            kernel.g_re[...] = g_kernel.real
+            kernel.g_im[...] = g_kernel.imag
+            kernel.g_im[list(kernel.pinned_rows)] = 0.0
+            g_columns = irfft(kernel.coefficients[:, None, :] * t, h)
+            readout.g_weight[...] = g_columns.transpose(0, 2, 1).reshape(h * d, out)
+            readout.g_bias[...] = g_bias
+            g_x = (g_block @ weight.T).reshape(b, h, f) / norm.std
+            return g_x[0] if single else g_x
+
+        return forecaster, pullback
 
     def predict(self, histories) -> np.ndarray:
         return self.fold().predict(histories)
 
     def parameters(self) -> list[ParamSlot]:
         return self.filter.parameters("filter") + self.readout.parameters("readout")
-
-    def zero_gradients(self) -> None:
-        self.filter.lift.zero_grad()
-        self.filter.kernel.zero_grad()
-        self.readout.zero_grad()
 
 
 @dataclass(frozen=True)

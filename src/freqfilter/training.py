@@ -249,6 +249,8 @@ def evaluate_loss(state, data: WindowedDataset, split: str) -> float:
 def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:
     """Minibatch training with MAE loss; deterministic for a fixed seed.
 
+    Each step folds the current parameters into one affine map, forecasts the
+    batch with it and pulls the loss gradient back into the parameter slots.
     Logs epoch 0 (no updates) first, then one entry per epoch. When early
     stopping triggers, the best-validation parameters are restored before
     returning.
@@ -277,15 +279,14 @@ def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:
         batch_losses = []
         for bi, lo in enumerate(range(0, n_samples, cfg.batch_size)):
             hist, targ = data.gather("train", order[lo : lo + cfg.batch_size])
-            pred = state.forward(hist)
-            loss, grad = mae_loss(pred, targ)
+            forecaster, pullback = state.fold_and_pullback()
+            loss, grad = mae_loss(forecaster.predict(hist), targ)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"loss became non-finite at epoch {epoch}, batch {bi}"
                 )
-            state.backward(grad)
+            pullback(hist, grad)
             optimizer.step()
-            state.zero_gradients()
             batch_losses.append(loss)
 
         train_loss = float(np.mean(batch_losses))

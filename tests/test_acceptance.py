@@ -141,11 +141,10 @@ def test_criterion_3_gradient_correctness():
         loss_weights = rng.standard_normal((batch, horizon, features))
 
         def loss():
-            return float(np.sum(loss_weights * state.forward(x, cache=False)))
+            return float(np.sum(loss_weights * state.forward(x)))
 
-        state.zero_gradients()
-        state.forward(x)
-        grad_x = state.backward(loss_weights)
+        _, pullback = state.fold_and_pullback()
+        grad_x = pullback(x, loss_weights)
 
         for slot in state.parameters():
             numeric = central_difference(loss, slot.value, eps=1e-5, skip_mask=slot.pin_mask)

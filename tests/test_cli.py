@@ -95,7 +95,7 @@ def test_predict_csv_matches_unfolded_forward(tmp_path, small_csv, monkeypatch):
     anchors = range(0, series.n_steps - h - t + 1, 5)
     lines = ["timestamp,node_id,horizon_step,predicted,actual\n"]
     for a in anchors:
-        pred = state.forward(series.values[:, a : a + h, :], cache=False)
+        pred = state.forward(series.values[:, a : a + h, :])
         for step in range(t):
             ts = a + h + step
             for v, node in enumerate(series.node_ids):

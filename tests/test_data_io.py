@@ -1,6 +1,8 @@
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from freqfilter.data_io import (
     CheckpointTruncatedError,
     CheckpointVersionError,
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CsvFormatError,
     NormStats,
     SyntheticConfig,
@@ -217,6 +220,36 @@ class TestSynthetic:
         sigma = np.sqrt(n * 0.01 * 0.99)
         assert abs(count - expected) <= 3 * sigma
 
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_matches_the_whole_array_formula_in_a_few_copies_of_the_series(self, seed):
+        cfg = SyntheticConfig(n_nodes=20, n_days=30, spike_probability=0.05, gaussian_noise_std=3.0, rng_seed=seed)
+        tracemalloc.start()
+        try:
+            series = generate_synthetic(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * series.values.nbytes
+
+        rng = np.random.default_rng(seed)
+        n, steps = cfg.n_nodes, cfg.n_steps
+        base = rng.uniform(*cfg.base_level_range, n)
+        amplitude = rng.uniform(*cfg.daily_amplitude_range, n)
+        phase = rng.uniform(0.0, 2.0 * np.pi, n)
+        depths = rng.uniform(*cfg.rush_hour_depth_range, (len(cfg.rush_hour_centers), n))
+        tod = (np.arange(steps) * cfg.interval_seconds) % 86400
+        trend = base[:, None] + amplitude[:, None] * np.sin(2.0 * np.pi * tod[None, :] / 86400 + phase[:, None])
+        for depth, center in zip(depths, cfg.rush_hour_centers):
+            dist = np.minimum(np.abs(tod - center), 86400 - np.abs(tod - center))
+            trend -= depth[:, None] * np.exp(-(dist**2) / (2.0 * cfg.rush_hour_width_seconds**2))[None, :]
+        noise = rng.normal(0.0, 1.0, (n, steps)) * cfg.gaussian_noise_std
+        spiked = rng.random((n, steps)) < cfg.spike_probability
+        magnitudes = rng.uniform(*cfg.spike_magnitude_range, (n, steps))
+        signs = np.where(rng.random((n, steps)) < 0.5, -1.0, 1.0)
+        expected = np.maximum(trend + noise + np.where(spiked, signs * magnitudes, 0.0), cfg.min_value)
+        assert np.count_nonzero(spiked) > 0
+        assert series.values[:, :, 0].tobytes() == expected.tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="spike_probability"):
             SyntheticConfig(spike_probability=1.5)
@@ -334,6 +367,15 @@ class TestCheckpoints:
         broken.write_bytes(bytes(data))
         with pytest.raises((CheckpointShapeError, CheckpointTruncatedError)):
             load_checkpoint(broken)
+
+    def test_huge_header_dimensions_report_truncation(self, tmp_path):
+        # features * width = (2**32 - 1)**2 overflows int64; counted as such it
+        # would make the reader step backwards instead of reporting truncation.
+        header = struct.pack("<I5IB", CHECKPOINT_VERSION, 12, 12, 2**32 - 1, 2**32 - 1, 7, 0)
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + header + b"\x00" * 64)
+        with pytest.raises(CheckpointTruncatedError, match="lift weight"):
+            load_checkpoint(path)
 
     def test_history_mismatch_surfaces_at_prediction(self, tmp_path):
         state = trained_like_state()

@@ -18,6 +18,7 @@ from freqfilter.predictors import (
 )
 from freqfilter.tensor import TimeSeriesTensor
 from freqfilter.training import TrainConfig, make_windows, train
+from numgrad import central_difference, max_relative_error
 
 
 def ramp_series(n_steps=60, slope=0.5, n_nodes=1):
@@ -147,6 +148,26 @@ def relative_error(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+@pytest.fixture
+def transform_calls(monkeypatch):
+    """(name, columns) of every rfft/irfft the filter and predictor modules make; columns = trailing axes."""
+    calls = []
+
+    def spy(name, fn, transformed):
+        def wrapped(*args):
+            result = fn(*args)
+            calls.append((name, int(np.prod(np.shape(transformed(args[0], result))[1:]))))
+            return result
+        return wrapped
+
+    rfft_spy = spy("rfft", freqfilter.predictors.rfft, lambda x, _: x)
+    irfft_spy = spy("irfft", freqfilter.predictors.irfft, lambda _, y: y)
+    for module in (freqfilter.filters, freqfilter.predictors):
+        monkeypatch.setattr(module, "rfft", rfft_spy)
+        monkeypatch.setattr(module, "irfft", irfft_spy)
+    return calls
+
+
 class TestFold:
     @pytest.mark.parametrize(
         "history,horizon,features,width",
@@ -155,7 +176,7 @@ class TestFold:
     def test_folded_matches_unfolded_on_random_parameters(self, history, horizon, features, width):
         state = perturbed_state(history, horizon, features, width, seed=history)
         histories = np.random.default_rng(1).normal(50.0, 10.0, (9, history, features))
-        unfolded = state.forward(histories, cache=False)
+        unfolded = state.forward(histories)
         assert relative_error(state.fold().predict(histories), unfolded) <= 1e-12
         assert relative_error(state.predict(histories[0]), unfolded[0]) <= 1e-12
 
@@ -169,7 +190,7 @@ class TestFold:
         cfg = TrainConfig(learning_rate=1e-3, epochs=50, batch_size=256, seed=42, early_stop_patience=5)
         train(state, ds, cfg)
         histories, _ = ds.gather("test", np.arange(ds.n_samples("test")))
-        unfolded = state.forward(histories, cache=False)
+        unfolded = state.forward(histories)
         assert relative_error(state.fold().predict(histories), unfolded) <= 1e-12
 
     @pytest.mark.parametrize("history,features,width", [(12, 1, 4), (9, 2, 3)])
@@ -180,31 +201,12 @@ class TestFold:
         copied = copy_last_step(histories, 5)
         assert relative_error(state.fold().predict(histories), copied) <= 1e-12
 
-    def test_fold_is_one_transform_pair_whatever_the_batch(self, monkeypatch):
+    def test_fold_is_one_transform_pair_whatever_the_batch(self, transform_calls):
         history, horizon, features, width = 10, 3, 2, 4
         state = perturbed_state(history, horizon, features, width)
-        calls = []
-
-        def spy(name, fn, columns_of):
-            def wrapped(*args):
-                result = fn(*args)
-                calls.append((name, columns_of(args[0], result)))
-                return result
-            return wrapped
-
-        def n_columns(a):
-            return int(np.prod(np.shape(a)[1:]))
-
-        rfft_spy = spy("rfft", freqfilter.predictors.rfft, lambda x, _: n_columns(x))
-        irfft_spy = spy("irfft", freqfilter.filters.irfft, lambda _, y: n_columns(y))
-        for module in (freqfilter.filters, freqfilter.predictors):
-            monkeypatch.setattr(module, "rfft", rfft_spy, raising=False)
-        monkeypatch.setattr(freqfilter.filters, "irfft", irfft_spy)
-
         histories = np.random.default_rng(2).normal(50.0, 10.0, (500, history, features))
         state.predict(histories)
-        columns = width * horizon * features
-        assert calls == [("rfft", columns), ("irfft", columns)]
+        assert transform_calls == [("rfft", width * horizon * features), ("irfft", features * horizon * features)]
 
     def test_fold_requires_normalization(self):
         state = FilterPredictorState.initialize(6, 3, 1, 2, norm=None)
@@ -223,8 +225,91 @@ class TestFold:
     def test_folded_equals_unfolded_property(self, history, horizon, features, extra_width, batch, seed):
         state = perturbed_state(history, horizon, features, features + extra_width, seed=seed)
         histories = np.random.default_rng(seed + 1).normal(50.0, 10.0, (batch, history, features))
-        unfolded = state.forward(histories, cache=False)
+        unfolded = state.forward(histories)
         assert relative_error(state.fold().predict(histories), unfolded) <= 1e-12
+
+
+class TestPullback:
+    @pytest.mark.parametrize(
+        "history,horizon,features,width",
+        [(8, 4, 2, 3), (7, 3, 2, 4), (12, 2, 1, 3), (2, 2, 1, 2), (1, 3, 2, 2)],
+    )
+    def test_matches_finite_differences(self, history, horizon, features, width):
+        state = perturbed_state(history, horizon, features, width, seed=history, scale=0.5)
+        rng = np.random.default_rng(history + 100)
+        histories = rng.normal(50.0, 10.0, (3, history, features))
+        loss_weights = rng.standard_normal((3, horizon, features))
+
+        def loss():
+            return float(np.sum(loss_weights * state.forward(histories)))
+
+        _, pullback = state.fold_and_pullback()
+        grad_x = pullback(histories, loss_weights)
+        for slot in state.parameters():
+            numeric = central_difference(loss, slot.value, skip_mask=slot.pin_mask)
+            assert max_relative_error(slot.grad, numeric) < 1e-4, slot.name
+            if slot.pin_mask is not None:
+                assert np.all(slot.grad[slot.pin_mask] == 0.0), slot.name
+        assert max_relative_error(grad_x, central_difference(loss, histories)) < 1e-4
+
+    def test_zero_gradient_in_zero_gradient_out(self):
+        state = perturbed_state(8, 4, 2, 3, seed=7)
+        for slot in state.parameters():
+            np.testing.assert_array_equal(slot.grad, np.zeros_like(slot.grad), err_msg=slot.name)
+            slot.grad[...] = 1.0  # stale buffers are overwritten, not accumulated into
+        histories = np.random.default_rng(7).normal(50.0, 10.0, (5, 8, 2))
+        _, pullback = state.fold_and_pullback()
+        grad_x = pullback(histories, np.zeros((5, 4, 2)))
+        np.testing.assert_array_equal(grad_x, np.zeros_like(histories))
+        for slot in state.parameters():
+            np.testing.assert_array_equal(slot.grad, np.zeros_like(slot.grad), err_msg=slot.name)
+
+    def test_identity_init_pulls_a_sum_loss_back_to_the_last_step(self):
+        # The untrained predictor copies the last step to every horizon step, so
+        # d(sum of forecasts)/d(history) is `horizon` at the last step and 0 before it.
+        norm = NormStats(np.array([50.0, 20.0]), np.array([10.0, 4.0]))
+        state = FilterPredictorState.initialize(9, 5, 2, 3, norm, seed=3)
+        histories = np.random.default_rng(9).normal(50.0, 10.0, (4, 9, 2))
+        _, pullback = state.fold_and_pullback()
+        expected = np.zeros_like(histories)
+        expected[:, -1, :] = 5.0
+        np.testing.assert_allclose(pullback(histories, np.ones((4, 5, 2))), expected, atol=1e-12)
+
+    def test_batch_gradient_is_the_sum_over_its_windows(self):
+        state = perturbed_state(10, 3, 2, 4, seed=11)
+        rng = np.random.default_rng(11)
+        histories = rng.normal(50.0, 10.0, (3, 10, 2))
+        loss_weights = rng.standard_normal((3, 3, 2))
+        _, pullback = state.fold_and_pullback()
+        singles, summed = [], [np.zeros_like(slot.grad) for slot in state.parameters()]
+        for x, g in zip(histories, loss_weights):
+            singles.append(pullback(x, g))
+            for total, slot in zip(summed, state.parameters()):
+                total += slot.grad
+        assert relative_error(pullback(histories, loss_weights), np.stack(singles)) <= 1e-12
+        for slot, total in zip(state.parameters(), summed):
+            assert relative_error(slot.grad, total) <= 1e-12, slot.name
+
+    def test_gradient_shape_must_match_the_forecasts(self):
+        state = perturbed_state(6, 3, 1, 2)
+        _, pullback = state.fold_and_pullback()
+        with pytest.raises(ValueError, match=r"\(4, 3, 1\)"):
+            pullback(np.zeros((4, 6, 1)), np.zeros((4, 2, 1)))
+
+    @pytest.mark.parametrize("n_nodes", [1, 40])
+    def test_training_step_is_a_fixed_set_of_transforms_whatever_the_batch(self, transform_calls, n_nodes):
+        history, horizon, features, width = 12, 4, 2, 3
+        values = np.random.default_rng(n_nodes).normal(50.0, 10.0, (n_nodes, 40, features))
+        series = TimeSeriesTensor(values, tuple(f"n{i}" for i in range(n_nodes)))
+        ds = make_windows(series, history, horizon, (1.0, 0.0, 0.0))
+        norm = NormStats(np.full(features, 50.0), np.full(features, 10.0))
+        state = FilterPredictorState.initialize(history, horizon, features, width, norm)
+        train(state, ds, TrainConfig(epochs=1, batch_size=ds.n_samples("train")))
+        outer, inner = width * horizon * features, features * horizon * features
+        fold = [("rfft", outer), ("irfft", inner)]
+        pullback = [("rfft", inner), ("irfft", outer)]
+        # The epoch-0 training loss, then one step (the validation split is empty).
+        assert transform_calls == fold + fold + pullback
 
 
 def windows_by_hand(predictor, values, history, horizon, stride, predecessor_mode):
