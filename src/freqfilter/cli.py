@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: generate, filter, baseline, train, predict, evaluate. Every
-option can also come from a flat key=value config file via --config; explicit
-flags win over config entries, which win over built-in defaults.
+Subcommands: generate, filter, baseline, train, predict, evaluate. Each option
+is declared once, in its add_argument call, with its type, choices and default.
+Every option with a default can also come from a flat key=value config file via
+--config: the entries are parsed as flags ahead of the explicit ones, so explicit
+flags win over config entries, which win over the defaults.
 """
 
 from __future__ import annotations
@@ -45,18 +47,24 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise argparse.ArgumentTypeError(f"expected true/false, yes/no, on/off or 1/0, got {text!r}")
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
+    try:
+        parts = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
     if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated ratios, got {text!r}")
-    return tuple(parts)  # type: ignore[return-value]
+        raise argparse.ArgumentTypeError(f"expected three comma-separated ratios, got {text!r}")
+    return parts  # type: ignore[return-value]
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer seeds, got {text!r}") from None
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -72,39 +80,15 @@ def _load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_CONVERTERS = {
-    "nodes": int, "days": int, "interval": int, "seed": int, "epochs": int,
-    "batch_size": int, "history": int, "horizon": int, "width": int,
-    "window": int, "stride": int, "patience": int,
-    "noise_std": float, "spike_prob": float, "spike_min": float, "spike_max": float,
-    "lr": float, "mape_epsilon": float,
-    "rolling": _parse_bool,
-    "split": _parse_ratios,
-    "seeds": _parse_seeds,
-}
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge precedence: explicit flags > config file entries > defaults."""
-    config = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for key, default in defaults.items():
-        explicit = getattr(args, key, None)
-        if explicit is not None:
-            resolved[key] = explicit
-        elif key in config:
-            converter = _CONVERTERS.get(key, str)
-            resolved[key] = converter(config[key])
-        else:
-            resolved[key] = default
-    unknown = set(config) - set(defaults)
+def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str], args: argparse.Namespace):
+    """Parse again with the config entries as flags ahead of the explicit ones, which therefore win."""
+    entries = _load_config_file(args.config)
+    # Exact names only: argparse would take a key such as hist=6 as an abbreviation of --history.
+    unknown = set(entries) - (set(vars(args)) - {"command", "func", "config"})
     if unknown:
         raise ValueError(f"unknown config keys for this subcommand: {sorted(unknown)}")
-    return resolved
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file (flags take precedence)")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
+    return parser.parse_args([args.command, *flags, *argv[1:]])
 
 
 def _test_region(series: TimeSeriesTensor, history: int, horizon: int, ratios) -> TimeSeriesTensor:
@@ -113,30 +97,25 @@ def _test_region(series: TimeSeriesTensor, history: int, horizon: int, ratios) -
     return slice_window(series, start, stop - start)
 
 
-def _rolling_rows(report: RollingReport) -> list[tuple[str, object]]:
-    steps = [(f"step {i + 1} ({report.step_minutes(i):g} min)", r) for i, r in enumerate(report.per_step)]
-    return steps + [("aggregate", report.aggregate)]
+def _rolling_rows(report: RollingReport) -> list[tuple[str, str, object]]:
+    """(CSV step column, table label, report) per horizon step, then the aggregate."""
+    steps = [(str(i + 1), f"step {i + 1} ({report.step_minutes(i):g} min)", r) for i, r in enumerate(report.per_step)]
+    return steps + [("aggregate", "aggregate", report.aggregate)]
 
 
-def _print_rolling(name: str, report: RollingReport) -> None:
-    print(f"== {name}")
-    print(render_metrics_table(_rolling_rows(report)))
-    print()
+def _print_table(rows: list[tuple[str, str, object]]) -> None:
+    print(render_metrics_table([(label, r) for _, label, r in rows]))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    opts = _resolve(args, {
-        "nodes": 5, "days": 30, "interval": 300, "noise_std": 2.0,
-        "spike_prob": 0.01, "spike_min": 8.0, "spike_max": 25.0, "seed": 0,
-    })
     cfg = SyntheticConfig(
-        n_nodes=opts["nodes"],
-        n_days=opts["days"],
-        interval_seconds=opts["interval"],
-        gaussian_noise_std=opts["noise_std"],
-        spike_probability=opts["spike_prob"],
-        spike_magnitude_range=(opts["spike_min"], opts["spike_max"]),
-        rng_seed=opts["seed"],
+        n_nodes=args.nodes,
+        n_days=args.days,
+        interval_seconds=args.interval,
+        gaussian_noise_std=args.noise_std,
+        spike_probability=args.spike_prob,
+        spike_magnitude_range=(args.spike_min, args.spike_max),
+        rng_seed=args.seed,
     )
     series = generate_synthetic(cfg)
     save_csv(series, args.out)
@@ -145,67 +124,59 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
-    opts = _resolve(args, {"window": 5})
     series = load_csv(args.data)
-    smoothed = moving_average(series.values, opts["window"], time_axis=1)
+    smoothed = moving_average(series.values, args.window, time_axis=1)
     blended = blend_with_original(series.values, smoothed)
     out = TimeSeriesTensor(blended, series.node_ids, series.interval_seconds)
     save_csv(out, args.out)
-    print(f"wrote smoothed series (window {opts['window']}, blended) to {args.out}")
+    print(f"wrote smoothed series (window {args.window}, blended) to {args.out}")
     return 0
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
-    opts = _resolve(args, {
-        "history": 12, "horizon": 12, "window": 5, "stride": 1,
-        "split": (0.7, 0.1, 0.2), "rolling": False, "mape_epsilon": 1e-6,
-    })
     series = load_csv(args.data)
-    region = series if args.region == "all" else _test_region(series, opts["history"], opts["horizon"], opts["split"])
-    mode = "rolling-predecessor" if opts["rolling"] else "one-shot"
+    region = series if args.region == "all" else _test_region(series, args.history, args.horizon, args.split)
+    mode = "rolling-predecessor" if args.rolling else "one-shot"
     print(f"evaluation region: {region.n_steps} steps, mode: {mode}")
     for name, predictor in (
-        ("CopyLastStep", CopyLastStepPredictor(opts["horizon"])),
-        (f"FilteredCopyLastStep(window={opts['window']})", FilteredCopyLastStepPredictor(opts["horizon"], opts["window"])),
+        ("CopyLastStep", CopyLastStepPredictor(args.horizon)),
+        (f"FilteredCopyLastStep(window={args.window})", FilteredCopyLastStepPredictor(args.horizon, args.window)),
     ):
         report = rolling_evaluate(
-            predictor, region, opts["history"], opts["horizon"],
-            stride=opts["stride"], predecessor_mode=opts["rolling"], mape_epsilon=opts["mape_epsilon"],
+            predictor, region, args.history, args.horizon,
+            stride=args.stride, predecessor_mode=args.rolling, mape_epsilon=args.mape_epsilon,
         )
-        _print_rolling(name, report)
+        print(f"== {name}")
+        _print_table(_rolling_rows(report))
+        print()
     return 0
 
 
-def _train_once(series: TimeSeriesTensor, opts: dict, seed: int):
-    ds = make_windows(series, opts["history"], opts["horizon"], opts["split"])
+def _train_once(series: TimeSeriesTensor, args: argparse.Namespace, seed: int):
+    ds = make_windows(series, args.history, args.horizon, args.split)
     norm = fit_normalization(series, ds.split_ranges["train"])
     state = FilterPredictorState.initialize(
-        opts["history"], opts["horizon"], series.n_features, opts["width"], norm, seed=seed,
+        args.history, args.horizon, series.n_features, args.width, norm, seed=seed,
     )
     cfg = TrainConfig(
-        learning_rate=opts["lr"],
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        optimizer=opts["optimizer"],
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        optimizer=args.optimizer,
         seed=seed,
         # a negative patience disables early stopping
-        early_stop_patience=opts["patience"] if opts["patience"] >= 0 else None,
+        early_stop_patience=args.patience if args.patience >= 0 else None,
     )
     log = train(state, ds, cfg)
     return state, log
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opts = _resolve(args, {
-        "history": 12, "horizon": 12, "width": 4, "lr": 1e-3, "epochs": 50,
-        "batch_size": 128, "optimizer": "adam", "patience": 5, "seed": 0,
-        "seeds": None, "split": (0.7, 0.1, 0.2),
-    })
     series = load_csv(args.data)
-    seeds = opts["seeds"] if opts["seeds"] else (opts["seed"],)
+    seeds = args.seeds or (args.seed,)
     finals = []
     for seed in seeds:
-        state, log = _train_once(series, opts, seed)
+        state, log = _train_once(series, args, seed)
         ckpt_path = Path(args.checkpoint)
         if len(seeds) > 1:
             ckpt_path = ckpt_path.with_suffix(ckpt_path.suffix + f".seed{seed}")
@@ -224,11 +195,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    opts = _resolve(args, {"stride": 1})
     state = load_checkpoint(args.checkpoint)
     series = load_csv(args.data)
     h, t = state.history, state.horizon
-    anchors = window_anchors(series.n_steps, h, t, opts["stride"])
+    anchors = window_anchors(series.n_steps, h, t, args.stride)
     forecaster = state.fold()
     with Path(args.out).open("w") as fh:
         fh.write("timestamp,node_id,horizon_step,predicted,actual\n")
@@ -245,7 +215,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 _FORECAST_NUMBERS = (("horizon_step", int), ("predicted", float), ("actual", float))
 
 
-def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, object]]:
+def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, str, object]]:
     rows = []
     with Path(path).open() as fh:
         header = fh.readline().strip()
@@ -274,35 +244,32 @@ def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, ob
     labels, step_index = np.unique(table[:, 0].astype(np.int64), return_inverse=True)
     steps = [table[step_index == k] for k in range(labels.size)]
     per_step, aggregate = reports_from_sums(np.hstack([error_sums(s[:, 1:2], s[:, 2:3], mape_epsilon) for s in steps]))
-    return [(f"step {label}", r) for label, r in zip(labels, per_step)] + [("aggregate", aggregate)]
+    return [(str(k), f"step {k}", r) for k, r in zip(labels, per_step)] + [("aggregate", "aggregate", aggregate)]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    opts = _resolve(args, {
-        "stride": 1, "split": (0.7, 0.1, 0.2), "mape_epsilon": 1e-6,
-    })
     if args.forecast:
-        rows = _evaluate_forecast_csv(args.forecast, opts["mape_epsilon"])
+        rows = _evaluate_forecast_csv(args.forecast, args.mape_epsilon)
     else:
         if not (args.checkpoint and args.data):
             raise ValueError("evaluate needs either --forecast or both --checkpoint and --data")
         state = load_checkpoint(args.checkpoint)
         series = load_csv(args.data)
-        region = series if args.region == "all" else _test_region(series, state.history, state.horizon, opts["split"])
+        region = series if args.region == "all" else _test_region(series, state.history, state.horizon, args.split)
         report = rolling_evaluate(
             state, region, state.history, state.horizon,
-            stride=opts["stride"], mape_epsilon=opts["mape_epsilon"],
+            stride=args.stride, mape_epsilon=args.mape_epsilon,
         )
         rows = _rolling_rows(report)
-    print(render_metrics_table(rows))
+    _print_table(rows)
     if args.csv_out:
-        lines = [METRICS_CSV_HEADER]
-        for label, r in rows:
-            step = label.split()[1].rstrip(")") if label.startswith("step") else label
-            lines.append(metrics_csv_line(step, r))
+        lines = [METRICS_CSV_HEADER, *(metrics_csv_line(step, r) for step, _, r in rows)]
         Path(args.csv_out).write_text("\n".join(lines) + "\n")
         print(f"wrote metrics CSV to {args.csv_out}")
     return 0
+
+
+_DEFAULT_SPLIT = (0.7, 0.1, 0.2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,84 +280,83 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a seeded synthetic dataset as CSV")
-    _add_common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--days", type=int)
-    p.add_argument("--interval", type=int)
-    p.add_argument("--noise-std", type=float, dest="noise_std")
-    p.add_argument("--spike-prob", type=float, dest="spike_prob")
-    p.add_argument("--spike-min", type=float, dest="spike_min")
-    p.add_argument("--spike-max", type=float, dest="spike_max")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--nodes", type=int, default=5)
+    p.add_argument("--days", type=int, default=30)
+    p.add_argument("--interval", type=int, default=300)
+    p.add_argument("--noise-std", type=float, default=2.0)
+    p.add_argument("--spike-prob", type=float, default=0.01)
+    p.add_argument("--spike-min", type=float, default=8.0)
+    p.add_argument("--spike-max", type=float, default=25.0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("filter", help="apply the trailing moving average + blend to a CSV")
-    _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int)
+    p.add_argument("--window", type=int, default=5)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("baseline", help="rolling evaluation of the last-value baselines")
-    _add_common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--history", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--stride", type=int)
-    p.add_argument("--split", type=_parse_ratios)
+    p.add_argument("--history", type=int, default=12)
+    p.add_argument("--horizon", type=int, default=12)
+    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--split", type=_parse_ratios, default=_DEFAULT_SPLIT)
     p.add_argument("--region", choices=("test", "all"), default="test")
-    p.add_argument("--rolling", action="store_const", const=True, default=None,
+    p.add_argument("--rolling", type=_parse_bool, nargs="?", const=True, default=False,
                    help="predict each step from its true predecessor instead of one-shot")
-    p.add_argument("--mape-epsilon", type=float, dest="mape_epsilon")
+    p.add_argument("--mape-epsilon", type=float, default=1e-6)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("train", help="train the spectral-filter predictor")
-    _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", help="training log path (default: <checkpoint>.log)")
-    p.add_argument("--history", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--width", type=int, help="lifted channel count of the filter module")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--patience", type=int, help="early-stop patience in epochs; negative disables")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--history", type=int, default=12)
+    p.add_argument("--horizon", type=int, default=12)
+    p.add_argument("--width", type=int, default=4, help="lifted channel count of the filter module")
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
+    p.add_argument("--patience", type=int, default=5, help="early-stop patience in epochs; negative disables")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list; reports mean +/- std")
-    p.add_argument("--split", type=_parse_ratios)
+    p.add_argument("--split", type=_parse_ratios, default=_DEFAULT_SPLIT)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write rolling forecasts for a CSV using a checkpoint")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int)
+    p.add_argument("--stride", type=int, default=1)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="metrics per horizon step from a forecast CSV or checkpoint+data")
-    _add_common(p)
     p.add_argument("--forecast")
     p.add_argument("--checkpoint")
     p.add_argument("--data")
-    p.add_argument("--stride", type=int)
-    p.add_argument("--split", type=_parse_ratios)
+    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--split", type=_parse_ratios, default=_DEFAULT_SPLIT)
     p.add_argument("--region", choices=("test", "all"), default="test")
-    p.add_argument("--mape-epsilon", type=float, dest="mape_epsilon")
-    p.add_argument("--csv-out", dest="csv_out")
+    p.add_argument("--mape-epsilon", type=float, default=1e-6)
+    p.add_argument("--csv-out")
     p.set_defaults(func=cmd_evaluate)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="flat key=value config file (flags take precedence)")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            args = _parse_with_config(parser, argv, args)
         return args.func(args)
     except (ValueError, CsvFormatError, CheckpointError, TrainingDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,10 +79,6 @@ class PointwiseLinear:
         self.g_weight = np.zeros_like(weight)
         self.g_bias = np.zeros_like(bias)
 
-    @classmethod
-    def zeros(cls, d_in: int, d_out: int) -> "PointwiseLinear":
-        return cls(np.zeros((d_in, d_out)), np.zeros(d_out))
-
     @property
     def d_in(self) -> int:
         return self.weight.shape[0]

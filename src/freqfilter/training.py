@@ -24,9 +24,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 128
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
     early_stop_patience: int | None = None
 
@@ -56,7 +53,6 @@ class WindowedDataset:
     horizon: int
     split_ranges: dict[str, tuple[int, int]]
     split_anchors: dict[str, np.ndarray]
-    rng_seed: int = 0
 
     @property
     def n_nodes(self) -> int:
@@ -232,7 +228,7 @@ class TrainingLog:
 
 def _make_optimizer(cfg: TrainConfig, slots: list[ParamSlot]):
     if cfg.optimizer == "adam":
-        return Adam(slots, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+        return Adam(slots, cfg.learning_rate)
     return SGD(slots, cfg.learning_rate)
 
 

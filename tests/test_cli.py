@@ -208,3 +208,106 @@ def test_missing_input_file_is_a_clean_error(tmp_path, capsys):
 def test_evaluate_requires_a_source(capsys):
     assert main(["evaluate"]) == 1
     assert "either --forecast" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def small_ckpt(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(FilterPredictorState.initialize(6, 3, 1, 2, NormStats([50.0], [8.0]), seed=3), path)
+    return path
+
+
+def _config(tmp_path, *lines):
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--split", "0.5,0.5"], "argument --split: expected three comma-separated ratios, got '0.5,0.5'"),
+        (["--split", "a,b,c"], "argument --split: expected three comma-separated ratios, got 'a,b,c'"),
+        (["--seeds", "1,x"], "argument --seeds: expected comma-separated integer seeds, got '1,x'"),
+    ],
+    ids=["split-count", "split-text", "seeds"],
+)
+def test_bad_flag_values_name_the_expected_form(tmp_path, small_csv, capsys, argv, message):
+    base = ["train", "--data", str(small_csv), "--checkpoint", str(tmp_path / "m.ckpt")]
+    with pytest.raises(SystemExit) as exc:
+        main(base + argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--config", _config(tmp_path, f"{argv[0][2:]}={argv[1]}")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bad_rolling_value_is_rejected(small_csv, capsys):
+    with pytest.raises(SystemExit):
+        main(["baseline", "--data", str(small_csv), "--rolling", "maybe"])
+    assert "argument --rolling: expected true/false" in capsys.readouterr().err
+
+
+def test_config_region_all_in_baseline(tmp_path, small_csv, capsys):
+    argv = ["baseline", "--data", str(small_csv), "--history", "6", "--horizon", "3", "--stride", "24"]
+    assert main(argv + ["--config", _config(tmp_path, "region=all")]) == 0
+    assert "evaluation region: 864 steps" in capsys.readouterr().out
+
+
+def test_config_region_all_and_csv_out_in_evaluate(tmp_path, small_csv, small_ckpt):
+    by_flag = tmp_path / "flag.csv"
+    argv = ["evaluate", "--checkpoint", str(small_ckpt), "--data", str(small_csv)]
+    assert main(argv + ["--region", "all", "--stride", "12", "--csv-out", str(by_flag)]) == 0
+    by_config = tmp_path / "config.csv"
+    cfg = _config(tmp_path, "region=all", "stride=12", f"csv_out={by_config}")
+    assert main(argv + ["--config", cfg]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+    steps = [line.split(",")[0] for line in by_config.read_text().splitlines()]
+    assert steps == ["horizon_step", "1", "2", "3", "aggregate"]
+
+
+def test_config_log_path_in_train(tmp_path, small_csv):
+    log = tmp_path / "from_config.log"
+    ckpt = tmp_path / "model.ckpt"
+    assert main([
+        "train", "--data", str(small_csv), "--checkpoint", str(ckpt),
+        "--config", _config(tmp_path, f"log={log}", "epochs=1", "history=6", "horizon=3", "width=2"),
+    ]) == 0
+    assert [line.split()[0] for line in log.read_text().splitlines()] == ["0", "1"]
+    assert not ckpt.with_suffix(ckpt.suffix + ".log").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, flags, mode",
+    [
+        ("rolling=true", [], "rolling-predecessor"),
+        ("rolling=false", [], "one-shot"),
+        ("rolling=false", ["--rolling"], "rolling-predecessor"),
+        ("rolling=true", ["--rolling=off"], "one-shot"),
+    ],
+)
+def test_config_rolling_and_flag_precedence(tmp_path, small_csv, capsys, entry, flags, mode):
+    argv = ["baseline", "--data", str(small_csv), "--history", "6", "--horizon", "3", "--stride", "24"]
+    assert main(argv + ["--config", _config(tmp_path, entry)] + flags) == 0
+    assert f"mode: {mode}" in capsys.readouterr().out
+
+
+def test_config_choice_is_checked_like_the_flag(tmp_path, small_csv, capsys):
+    base = ["train", "--data", str(small_csv), "--checkpoint", str(tmp_path / "m.ckpt")]
+    with pytest.raises(SystemExit):
+        main(base + ["--optimizer", "rmsprop"])
+    by_flag = capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(base + ["--config", _config(tmp_path, "optimizer=rmsprop")])
+    assert capsys.readouterr().err == by_flag
+    assert "argument --optimizer: invalid choice: 'rmsprop'" in by_flag
+
+
+def test_config_key_abbreviation_is_unknown(tmp_path, small_csv, capsys):
+    argv = ["baseline", "--data", str(small_csv), "--config", _config(tmp_path, "hist=6")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "unknown config keys for this subcommand: ['hist']" in captured.err
+    assert captured.out == ""
