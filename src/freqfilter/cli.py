@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .data_io import (
+    CSV_BLOCK_CELLS,
     CheckpointError,
     CsvFormatError,
     SyntheticConfig,
@@ -67,6 +69,14 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integer seeds, got {text!r}") from None
 
 
+class _StoreGiven(argparse.Action):
+    """Store the value and add the option's dest to namespace.given: set by a flag or a config key, not defaulted."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.dest)
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     for line_num, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -84,7 +94,7 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str], args: a
     """Parse again with the config entries as flags ahead of the explicit ones, which therefore win."""
     entries = _load_config_file(args.config)
     # Exact names only: argparse would take a key such as hist=6 as an abbreviation of --history.
-    unknown = set(entries) - (set(vars(args)) - {"command", "func", "config"})
+    unknown = set(entries) - (set(vars(args)) - {"command", "func", "config", "given"})
     if unknown:
         raise ValueError(f"unknown config keys for this subcommand: {sorted(unknown)}")
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
@@ -200,42 +210,71 @@ def cmd_predict(args: argparse.Namespace) -> int:
     h, t = state.history, state.horizon
     anchors = window_anchors(series.n_steps, h, t, args.stride)
     forecaster = state.fold()
+    # One anchor's rows, step-major then node; each row's timestamp, predicted and actual are filled in.
+    anchor_rows = "".join(
+        f"%d,{node.replace('%', '%%')},{step + 1},%.6f,%.6f\n" for step in range(t) for node in series.node_ids
+    )
+    offsets = np.repeat(np.arange(h, h + t, dtype=np.float64), series.n_nodes)  # row timestamp - anchor
     with Path(args.out).open("w") as fh:
-        fh.write("timestamp,node_id,horizon_step,predicted,actual\n")
+        fh.write(_FORECAST_HEADER + "\n")
         for block, hist, targ in iter_windows(series.values, anchors, h, t):
-            preds = forecaster.predict(hist).reshape(block.size, series.n_nodes, t, -1)
-            for a, pred, act in zip(block, preds, targ.reshape(preds.shape)):
-                for step in range(t):
-                    for v, node in enumerate(series.node_ids):
-                        fh.write(f"{a + h + step},{node},{step + 1},{pred[v, step, 0]:.6f},{act[v, step, 0]:.6f}\n")
+            preds = forecaster.predict(hist).reshape(block.size, series.n_nodes, t).transpose(0, 2, 1)
+            actual = targ.reshape(block.size, series.n_nodes, t).transpose(0, 2, 1)
+            for a, pred, act in zip(block, preds, actual):
+                cells = np.column_stack([offsets + a, pred.ravel(), act.ravel()])
+                fh.write(anchor_rows % tuple(cells.ravel().tolist()))
     print(f"wrote forecasts for {anchors.size} windows to {args.out}")
     return 0
 
 
+_FORECAST_HEADER = "timestamp,node_id,horizon_step,predicted,actual"
 _FORECAST_NUMBERS = (("horizon_step", int), ("predicted", float), ("actual", float))
 
 
-def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, str, object]]:
+def _parse_forecast_rows(path: str, first_line: int, lines: list[str]) -> np.ndarray:
+    """(rows, 3) horizon_step, predicted, actual, one line at a time: the first bad line raises."""
     rows = []
+    for line_num, line in enumerate(lines, start=first_line):
+        parts = line.strip().split(",")
+        if len(parts) != 5:
+            raise CsvFormatError(f"{path}:{line_num}: expected 5 cells, got {len(parts)}")
+        try:
+            rows.append((int(parts[2]), float(parts[3]), float(parts[4])))
+        except ValueError:
+            for (column, convert), text in zip(_FORECAST_NUMBERS, parts[2:]):
+                try:
+                    convert(text)
+                except ValueError:
+                    raise CsvFormatError(f"{path}:{line_num}: column {column!r}: non-numeric cell {text!r}") from None
+    return np.array(rows)
+
+
+def _parse_forecast_block(path: str, first_line: int, lines: list[str]) -> np.ndarray:
+    """What _parse_forecast_rows returns, with every cell of the block split and converted at once."""
+    stripped = list(map(str.strip, lines))
+    if set(map(str.count, stripped, repeat(","))) == {4}:
+        cells = ",".join(stripped).split(",")
+        try:
+            columns = [list(map(convert, cells[k::5])) for k, (_, convert) in enumerate(_FORECAST_NUMBERS, start=2)]
+            return np.array(columns).T
+        except ValueError:
+            pass
+    return _parse_forecast_rows(path, first_line, lines)  # names the first bad line
+
+
+def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, str, object]]:
+    blocks = []
     with Path(path).open() as fh:
         header = fh.readline().strip()
-        if header != "timestamp,node_id,horizon_step,predicted,actual":
+        if header != _FORECAST_HEADER:
             raise CsvFormatError(f"{path}: not a forecast CSV (unexpected header {header!r})")
-        for line_num, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 5:
-                raise CsvFormatError(f"{path}:{line_num}: expected 5 cells, got {len(parts)}")
-            try:
-                rows.append((int(parts[2]), float(parts[3]), float(parts[4])))
-            except ValueError:
-                for (column, convert), text in zip(_FORECAST_NUMBERS, parts[2:]):
-                    try:
-                        convert(text)
-                    except ValueError:
-                        raise CsvFormatError(f"{path}:{line_num}: column {column!r}: non-numeric cell {text!r}") from None
-    if not rows:
+        first_line = 2
+        while lines := list(islice(fh, CSV_BLOCK_CELLS // 5)):
+            blocks.append(_parse_forecast_block(path, first_line, lines))
+            first_line += len(lines)
+    if not blocks:
         raise CsvFormatError(f"{path}: no forecast rows")
-    table = np.array(rows)  # (rows, 3): horizon_step, predicted, actual
+    table = np.concatenate(blocks)  # (rows, 3): horizon_step, predicted, actual
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         row, col = bad[0]
@@ -249,6 +288,8 @@ def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, st
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.forecast:
+        if args.given:
+            raise ValueError(f"evaluate --forecast does not take --{args.given[0]}: it applies only to --checkpoint scoring")
         rows = _evaluate_forecast_csv(args.forecast, args.mape_epsilon)
     else:
         if not (args.checkpoint and args.data):
@@ -338,12 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forecast")
     p.add_argument("--checkpoint")
     p.add_argument("--data")
-    p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--split", type=_parse_ratios, default=_DEFAULT_SPLIT)
-    p.add_argument("--region", choices=("test", "all"), default="test")
+    # Checkpoint scoring only; --forecast rejects them when given.
+    p.add_argument("--stride", type=int, default=1, action=_StoreGiven)
+    p.add_argument("--split", type=_parse_ratios, default=_DEFAULT_SPLIT, action=_StoreGiven)
+    p.add_argument("--region", choices=("test", "all"), default="test", action=_StoreGiven)
     p.add_argument("--mape-epsilon", type=float, default=1e-6)
     p.add_argument("--csv-out")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, given=())
 
     for p in sub.choices.values():
         p.add_argument("--config", help="flat key=value config file (flags take precedence)")

@@ -13,6 +13,7 @@ import math
 import struct
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,9 @@ from .tensor import TimeSeriesTensor
 
 _SECONDS_PER_DAY = 86400
 DEFAULT_INTERVAL_SECONDS = 300
+# Cells per block when CSV text is parsed or formatted in bulk: about 0.2 MB of text, and a
+# few MB of Python objects. Blocks 8x larger timed no faster and peaked 4x higher.
+CSV_BLOCK_CELLS = 2**14
 
 
 class CsvFormatError(ValueError):
@@ -46,6 +50,55 @@ def _parse_timestamp(raw: str, row: int) -> tuple[str, float]:
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return "iso", stamp.timestamp()
+
+
+def _parse_rows(rows: list[list[str]], header: list[str], first_row: int) -> tuple[list, np.ndarray]:
+    """(kind, time) stamps and (rows, nodes) values, one row at a time: the first bad cell raises."""
+    stamps = []
+    parsed_rows: list[list[float]] = []
+    for row_num, row in enumerate(rows, start=first_row):
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"row {row_num}: expected {len(header)} cells, got {len(row)}"
+            )
+        stamps.append(_parse_timestamp(row[0], row_num))
+        parsed = []
+        for col, cell in enumerate(row[1:], start=1):
+            text = cell.strip()
+            try:
+                value = float(text)
+            except ValueError:
+                raise CsvFormatError(
+                    f"row {row_num}, column {header[col]!r}: non-numeric cell {cell!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise CsvFormatError(
+                    f"row {row_num}, column {header[col]!r}: non-finite cell {cell!r}"
+                )
+            parsed.append(value)
+        parsed_rows.append(parsed)
+    return stamps, np.array(parsed_rows)
+
+
+def _parse_block(rows: list[list[str]], header: list[str], first_row: int) -> tuple[list, np.ndarray]:
+    """What _parse_rows returns, with every cell of the block converted at once.
+
+    Any ragged row, bad cell or non-finite value sends the block to
+    _parse_rows, which names the first one.
+    """
+    n_columns = len(header)
+    if set(map(len, rows)) == {n_columns}:
+        cells = list(chain.from_iterable(rows))
+        try:
+            stamps = [_parse_timestamp(cell, row) for row, cell in enumerate(cells[::n_columns], start=first_row)]
+            del cells[::n_columns]
+            values = np.array(list(map(float, cells))).reshape(len(rows), n_columns - 1)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if np.isfinite(values).all():
+                return stamps, values
+    return _parse_rows(rows, header, first_row)
 
 
 def load_csv(path, interval_seconds: int | None = None) -> TimeSeriesTensor:
@@ -76,39 +129,21 @@ def load_csv(path, interval_seconds: int | None = None) -> TimeSeriesTensor:
                 )
             first_column[node] = col
 
-        kinds: list[str] = []
-        times: list[float] = []
-        rows: list[list[float]] = []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"row {row_num}: expected {len(header)} cells, got {len(row)}"
-                )
-            kind, t = _parse_timestamp(row[0], row_num)
-            kinds.append(kind)
-            times.append(t)
-            parsed = []
-            for col, cell in enumerate(row[1:], start=1):
-                text = cell.strip()
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"row {row_num}, column {header[col]!r}: non-numeric cell {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise CsvFormatError(
-                        f"row {row_num}, column {header[col]!r}: non-finite cell {cell!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+        stamps: list[tuple[str, float]] = []
+        blocks = []
+        while rows := list(islice(reader, max(1, CSV_BLOCK_CELLS // len(header)))):
+            block_stamps, values = _parse_block(rows, header, first_row=2 + len(stamps))
+            stamps += block_stamps
+            blocks.append(values)
 
-    if not rows:
+    if not stamps:
         raise CsvFormatError(f"{path}: no data rows")
-    if len(set(kinds)) > 1:
+    kinds = {kind for kind, _ in stamps}
+    if len(kinds) > 1:
         raise CsvFormatError(f"{path}: mixed integer and ISO timestamps")
+    times = np.array([t for _, t in stamps])
     if len(times) > 1:
-        deltas = np.diff(np.asarray(times))
+        deltas = np.diff(times)
         if np.any(deltas <= 0):
             bad = int(np.argmax(deltas <= 0)) + 3  # +2 header offset, +1 for the later row
             raise CsvFormatError(f"row {bad}: timestamps must be strictly increasing")
@@ -116,7 +151,7 @@ def load_csv(path, interval_seconds: int | None = None) -> TimeSeriesTensor:
             bad = int(np.argmax(deltas != deltas[0])) + 3
             raise CsvFormatError(f"row {bad}: timestamps must be equally spaced")
     if interval_seconds is None:
-        if kinds[0] == "iso" and len(times) > 1:
+        if kinds == {"iso"} and len(times) > 1:
             spacing = times[1] - times[0]
             if spacing != int(spacing):
                 raise CsvFormatError(f"{path}: timestamp spacing {spacing:g} s is not a whole number of seconds")
@@ -124,26 +159,31 @@ def load_csv(path, interval_seconds: int | None = None) -> TimeSeriesTensor:
         else:
             interval_seconds = DEFAULT_INTERVAL_SECONDS
 
-    values = np.asarray(rows, dtype=np.float64).T[:, :, None]
+    values = np.concatenate(blocks).T[:, :, None]
     return TimeSeriesTensor(values=values, node_ids=tuple(node_ids), interval_seconds=interval_seconds)
 
 
 def save_csv(series: TimeSeriesTensor, path, start_timestamp: datetime | None = None) -> None:
-    """Write the first feature of a tensor as a wide CSV (6 decimal places).
+    """Write the first feature of a tensor as a wide CSV (6 decimal places, CRLF line ends).
 
     Timestamps are integer step indices unless a start datetime is given, in
     which case ISO timestamps are spaced by the tensor's interval.
     """
     path = Path(path)
+    row = "%s" + ",%.6f" * series.n_nodes + "\r\n"
+    rows_per_block = max(1, CSV_BLOCK_CELLS // (series.n_nodes + 1))
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp"] + list(series.node_ids))
-        for t in range(series.n_steps):
-            if start_timestamp is None:
-                stamp = str(t)
-            else:
-                stamp = (start_timestamp + timedelta(seconds=t * series.interval_seconds)).isoformat()
-            writer.writerow([stamp] + [f"{v:.6f}" for v in series.values[:, t, 0]])
+        csv.writer(fh).writerow(["timestamp"] + list(series.node_ids))  # quotes node ids where needed
+        for lo in range(0, series.n_steps, rows_per_block):
+            block = series.values[:, lo : lo + rows_per_block, 0].T.tolist()
+            cells: list = []
+            for t, values in enumerate(block, start=lo):
+                if start_timestamp is None:
+                    cells.append(str(t))
+                else:
+                    cells.append((start_timestamp + timedelta(seconds=t * series.interval_seconds)).isoformat())
+                cells += values
+            fh.write(row * len(block) % tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -212,11 +252,12 @@ def generate_synthetic(cfg: SyntheticConfig) -> TimeSeriesTensor:
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
     depths = rng.uniform(*cfg.rush_hour_depth_range, (len(cfg.rush_hour_centers), n))
 
-    tod = (np.arange(steps) * cfg.interval_seconds) % _SECONDS_PER_DAY
-    # Built in place, dropping each draw once used, so the series costs a few
-    # copies of itself at most. Every step is the same IEEE operation on the
-    # same operands as max(base + amplitude * sin - dips + noise + spikes,
-    # min_value), so the values keep their bits.
+    # The trend repeats every day, so it is built for one day and added to each.
+    # The rest is built in place, dropping each draw once used, so the series
+    # costs a few copies of itself at most. Every step is the same IEEE
+    # operation on the same operands as max(base + amplitude * sin - dips +
+    # noise + spikes, min_value), so the values keep their bits.
+    tod = np.arange(cfg.steps_per_day) * cfg.interval_seconds
     trend = np.sin(2.0 * np.pi * tod[None, :] / _SECONDS_PER_DAY + phase[:, None])
     trend *= amplitude[:, None]
     trend += base[:, None]
@@ -227,8 +268,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> TimeSeriesTensor:
 
     values = rng.normal(0.0, 1.0, (n, steps))
     values *= cfg.gaussian_noise_std
-    values += trend
-    del trend
+    days = values.reshape(n, cfg.n_days, cfg.steps_per_day)  # a view of values
+    days += trend[:, None, :]
     spiked = rng.random((n, steps)) < cfg.spike_probability
     magnitudes = rng.uniform(*cfg.spike_magnitude_range, (n, steps))[spiked]
     negative = (rng.random((n, steps)) < 0.5)[spiked]

@@ -289,11 +289,16 @@ def _gather(values: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
     return spans.reshape(-1, length, values.shape[2])
 
 
+def _anchor_blocks(anchors: np.ndarray, n_nodes: int):
+    """Consecutive runs of anchors of at most WINDOW_BLOCK windows (one anchor at least)."""
+    per_block = max(1, WINDOW_BLOCK // n_nodes)
+    for lo in range(0, anchors.size, per_block):
+        yield anchors[lo : lo + per_block]
+
+
 def iter_windows(values: np.ndarray, anchors: np.ndarray, history: int, horizon: int):
     """Yield (anchors, histories, targets) per block of at most WINDOW_BLOCK windows (one anchor at least)."""
-    per_block = max(1, WINDOW_BLOCK // values.shape[0])
-    for lo in range(0, anchors.size, per_block):
-        block = anchors[lo : lo + per_block]
+    for block in _anchor_blocks(anchors, values.shape[0]):
         yield block, _gather(values, block, history), _gather(values, block + history, horizon)
 
 
@@ -313,6 +318,7 @@ def rolling_evaluate(
     true predecessor, read from the predictor's transformed view of the
     series; this is the protocol under which last-value baselines report the
     same error at every horizon step. Scored block by block: memory is the series plus one block.
+    A FilterPredictorState is folded once per call, not once per block.
     """
     values = series.values
     anchors = window_anchors(values.shape[1], history, horizon, stride)
@@ -323,12 +329,15 @@ def rolling_evaluate(
                 f"{type(predictor).__name__} does not support the rolling-predecessor protocol"
             )
         source = transform(values)
+    elif isinstance(predictor, FilterPredictorState):
+        predictor = predictor.fold()
     sums = 0.0
-    for block, histories, targets in iter_windows(values, anchors, history, horizon):
+    for block in _anchor_blocks(anchors, values.shape[0]):
+        targets = _gather(values, block + history, horizon)
         if predecessor_mode:
             preds = _gather(source, block + history - 1, horizon)
         else:
-            preds = np.asarray(predictor.predict(histories))
+            preds = np.asarray(predictor.predict(_gather(values, block, history)))
             if preds.shape != targets.shape:
                 raise ValueError(f"predictor returned shape {preds.shape}, expected {targets.shape}")
         sums += error_sums(preds, targets, mape_epsilon)

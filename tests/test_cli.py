@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import freqfilter.cli
+import freqfilter.data_io
 import freqfilter.predictors
 from freqfilter.cli import main
-from freqfilter.data_io import NormStats, load_csv, save_checkpoint
-from freqfilter.predictors import FilterPredictorState
+from freqfilter.data_io import NormStats, load_csv, save_checkpoint, save_csv
+from freqfilter.predictors import FilterPredictorState, iter_windows, window_anchors
+from freqfilter.tensor import TimeSeriesTensor
 from freqfilter.filters import blend_with_original, moving_average
 
 
@@ -108,6 +111,45 @@ def test_predict_csv_matches_unfolded_forward(tmp_path, small_csv, monkeypatch):
     assert out.read_bytes() == "".join(lines).encode()
 
 
+def forecast_csv_by_rows(state, series, stride):
+    """The row-at-a-time forecast writer that cmd_predict replaced, kept as its byte-for-byte oracle."""
+    h, t = state.history, state.horizon
+    forecaster = state.fold()
+    lines = ["timestamp,node_id,horizon_step,predicted,actual\n"]
+    for block, hist, targ in iter_windows(series.values, window_anchors(series.n_steps, h, t, stride), h, t):
+        preds = forecaster.predict(hist).reshape(block.size, series.n_nodes, t, -1)
+        for a, pred, act in zip(block, preds, targ.reshape(preds.shape)):
+            for step in range(t):
+                for v, node in enumerate(series.node_ids):
+                    lines.append(f"{a + h + step},{node},{step + 1},{pred[v, step, 0]:.6f},{act[v, step, 0]:.6f}\n")
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("window_block", [5, freqfilter.predictors.WINDOW_BLOCK])
+def test_predict_writes_the_bytes_of_the_row_writer(tmp_path, monkeypatch, stride, window_block):
+    h, t = 5, 4
+    state = FilterPredictorState.initialize(h, t, 1, 2, NormStats([40.0], [15.0]), seed=2)
+    rng = np.random.default_rng(2)
+    for slot in state.parameters():
+        slot.value += rng.normal(0.0, 0.3, slot.value.shape)
+        slot.apply_pins()
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(state, ckpt)
+    values = rng.normal(40.0, 15.0, (3, 90, 1))
+    values[0, ::4, 0] = -1e-7  # forecasts and actuals that round to -0.000000
+    data = tmp_path / "data.csv"
+    save_csv(TimeSeriesTensor(values, ("n%d", "50%", "a b")), data)
+    series = load_csv(data)
+
+    monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", window_block)
+    out = tmp_path / "forecast.csv"
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out), "--stride", str(stride)]) == 0
+    written = out.read_bytes()
+    assert written == forecast_csv_by_rows(state, series, stride)
+    assert b"\r" not in written
+
+
 @pytest.mark.parametrize("stride", ["0", "-3"])
 def test_predict_rejects_bad_stride(tmp_path, small_csv, capsys, stride):
     ckpt = tmp_path / "model.ckpt"
@@ -159,6 +201,86 @@ def test_evaluate_forecast_scores_each_step(tmp_path, capsys):
         "2,1.500000,1.500000,3.061224,1,0",
         "aggregate,1.166667,1.190238,2.302934,3,0",
     ]
+
+
+# Each malformed forecast CSV and its whole message, as the row-at-a-time reader gave it.
+_MALFORMED_FORECASTS = [
+    ("header", "time,node_id\n6,a,1,50.0,51.0\n", "{path}: not a forecast CSV (unexpected header 'time,node_id')"),
+    ("no-rows", "timestamp,node_id,horizon_step,predicted,actual\n", "{path}: no forecast rows"),
+    ("short-row", "timestamp,node_id,horizon_step,predicted,actual\n6,a,1,50.0\n", "{path}:2: expected 5 cells, got 4"),
+    ("blank-line", "timestamp,node_id,horizon_step,predicted,actual\n6,a,1,50.0,51.0\n\n", "{path}:3: expected 5 cells, got 1"),
+    (
+        "rows-that-even-out",
+        "timestamp,node_id,horizon_step,predicted,actual\n6,a,1,50.0,51.0,1\n7,2,1,50.0\n",
+        "{path}:2: expected 5 cells, got 6",
+    ),
+    *(
+        (
+            f"bad-cell-line-{line}",
+            "\n".join(_FORECAST_ROWS[: line - 1] + [cells] + _FORECAST_ROWS[line:]) + "\n",
+            f"{{path}}:{line}: {match}",
+        )
+        for line, cells, match in [
+            (2, "6,a,one,50.0,51.0", "column 'horizon_step': non-numeric cell 'one'"),
+            (3, "7,a,2,abc,49.0", "column 'predicted': non-numeric cell 'abc'"),
+            (4, "7,a,1,52.0,", "column 'actual': non-numeric cell ''"),
+            (2, "6,a,1,nan,51.0", "column 'predicted': non-finite cell nan"),
+            (4, "7,a,1,52.0,-inf", "column 'actual': non-finite cell -inf"),
+        ]
+    ),
+    # Every cell is parsed before any is checked for finiteness, so a later non-numeric cell wins.
+    (
+        "non-numeric-after-non-finite",
+        "timestamp,node_id,horizon_step,predicted,actual\n6,a,1,inf,51.0\n" + "7,a,1,50.0,51.0\n" * 9 + "8,a,x,50.0,51.0\n",
+        "{path}:12: column 'horizon_step': non-numeric cell 'x'",
+    ),
+    (
+        "late-line",
+        "timestamp,node_id,horizon_step,predicted,actual\n" + "7,a,1,50.0,51.0\n" * 11 + "8,a,1,50.0\n",
+        "{path}:13: expected 5 cells, got 4",
+    ),
+]
+
+
+@pytest.mark.parametrize("block_cells", [15, freqfilter.data_io.CSV_BLOCK_CELLS])
+@pytest.mark.parametrize("content, message", [c[1:] for c in _MALFORMED_FORECASTS], ids=[c[0] for c in _MALFORMED_FORECASTS])
+def test_malformed_forecast_keeps_its_message(tmp_path, capsys, monkeypatch, block_cells, content, message):
+    monkeypatch.setattr(freqfilter.cli, "CSV_BLOCK_CELLS", block_cells)  # 3 lines per block at 15
+    path = tmp_path / "forecast.csv"
+    path.write_text(content)
+    assert main(["evaluate", "--forecast", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize(
+    "flags, entries, option",
+    [
+        (["--stride", "1"], [], "stride"),
+        (["--region", "all"], [], "region"),
+        (["--split=0.7,0.1,0.2"], [], "split"),
+        (["--reg", "test"], [], "region"),
+        ([], ["stride=12"], "stride"),
+        ([], ["mape_epsilon=0.5", "split=0.6,0.2,0.2"], "split"),
+    ],
+    ids=["stride", "region", "split", "abbreviated", "config-stride", "config-split"],
+)
+def test_evaluate_forecast_rejects_checkpoint_options(tmp_path, capsys, flags, entries, option):
+    path = tmp_path / "forecast.csv"
+    path.write_text("\n".join(_FORECAST_ROWS) + "\n")
+    argv = ["evaluate", "--forecast", str(path), *flags]
+    if entries:
+        argv += ["--config", _config(tmp_path, *entries)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: evaluate --forecast does not take --{option}: it applies only to --checkpoint scoring\n"
+    assert captured.out == ""
+
+
+def test_evaluate_forecast_takes_its_own_options_from_config(tmp_path, capsys):
+    path = tmp_path / "forecast.csv"
+    path.write_text("\n".join(_FORECAST_ROWS) + "\n")
+    assert main(["evaluate", "--forecast", str(path), "--config", _config(tmp_path, "mape_epsilon=52")]) == 0
+    assert "aggregate" in capsys.readouterr().out
 
 
 def test_train_with_seed_list_reports_spread(tmp_path, small_csv, capsys):

@@ -1,14 +1,20 @@
+import csv
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freqfilter
+import freqfilter.data_io
 
 from freqfilter.data_io import (
     CheckpointError,
@@ -180,6 +186,139 @@ class TestLoadCsv:
         save_csv(reloaded, second)
         assert first.read_text() == second.read_text()
         np.testing.assert_allclose(reloaded.values, series.values, atol=5e-7)
+
+
+def save_csv_by_rows(series, path, start_timestamp=None):
+    """The row-at-a-time writer that save_csv replaced, kept as its byte-for-byte oracle."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp"] + list(series.node_ids))
+        for t in range(series.n_steps):
+            if start_timestamp is None:
+                stamp = str(t)
+            else:
+                stamp = (start_timestamp + timedelta(seconds=t * series.interval_seconds)).isoformat()
+            writer.writerow([stamp] + [f"{v:.6f}" for v in series.values[:, t, 0]])
+
+
+# Each malformed input and its whole message, as the row-at-a-time reader gave it.
+_MALFORMED_CSVS = [
+    ("missing-cell", "timestamp,a,b\n0,1.0,2.0\n1,3.0,\n", "row 3, column 'b': non-numeric cell ''"),
+    ("ragged", "timestamp,a,b\n0,1.0,2.0\n1,3.0\n", "row 3: expected 3 cells, got 2"),
+    ("long-row", "timestamp,a\n0,1.0\n1,2.0,3.0\n", "row 3: expected 2 cells, got 3"),
+    ("rows-that-even-out", "timestamp,a,b\n0,1.0,2.0,3\n1,4.0\n", "row 2: expected 3 cells, got 4"),
+    ("non-monotonic", "timestamp,a\n0,1.0\n2,2.0\n1,3.0\n", "row 4: timestamps must be strictly increasing"),
+    ("gapped", "timestamp,a\n0,1.0\n1,2.0\n3,3.0\n", "row 4: timestamps must be equally spaced"),
+    ("nan", "timestamp,a\n0,1.0\n1,nan\n", "row 3, column 'a': non-finite cell 'nan'"),
+    ("padded-inf", "timestamp,a\n0, inf \n", "row 2, column 'a': non-finite cell ' inf '"),
+    ("mixed", "timestamp,a\n0,1.0\n2024-01-01T00:05:00,2.0\n", "{path}: mixed integer and ISO timestamps"),
+    ("empty", "", "{path}: file is empty"),
+    ("header", "time,a\n0,1.0\n", "{path}: header must be 'timestamp,<node>,...', got ['time', 'a']"),
+    ("duplicate-id", "timestamp,a,b,a\n0,1,2,3\n", "{path}: header column 4: duplicate node id 'a' (first in column 2)"),
+    ("empty-id", "timestamp,a,,b\n0,1,2,3\n", "{path}: header column 3: empty node id"),
+    ("no-rows", "timestamp,a\n", "{path}: no data rows"),
+    ("bad-stamp", "timestamp,a\n0,1.0\nnoon,2.0\n", "row 3: timestamp 'noon' is neither an integer index nor ISO-8601"),
+    ("blank-line", "timestamp,a\n0,1.0\n\n1,2.0\n", "row 3: expected 2 cells, got 0"),
+    ("trailing-blank-line", "timestamp,a\n0,1.0\n1,2.0\n\n", "row 4: expected 2 cells, got 0"),
+    ("quoted-comma", 'timestamp,a\n0,"1,5"\n', "row 2, column 'a': non-numeric cell '1,5'"),
+    ("cr-line-ends", "timestamp,a,b\r0,1.0,2.0\r1,x,2.0\r", "row 3, column 'a': non-numeric cell 'x'"),
+    (
+        "fractional-spacing",
+        "timestamp,a\n2024-01-01T00:00:00,1.0\n2024-01-01T00:00:01.500000,2.0\n2024-01-01T00:00:03,3.0\n",
+        "{path}: timestamp spacing 1.5 s is not a whole number of seconds",
+    ),
+    # The first error in file order wins, whatever its kind, and a row's timestamp comes before its cells.
+    (
+        "first-error-wins",
+        "timestamp,a,b\n" + "".join(f"{t},1.0,2.0\n" for t in range(12)) + "12,1.0,bad\n13,1.0\nlate,x,2.0\n",
+        "row 14, column 'b': non-numeric cell 'bad'",
+    ),
+    ("stamp-before-cell", "timestamp,a\n0,1.0\nlate,x\n", "row 3: timestamp 'late' is neither an integer index nor ISO-8601"),
+    (
+        "late-row",
+        "timestamp,a,b\n" + "".join(f"{t},1.0,2.0\n" for t in range(15)) + "15,1e999,2.0\n",
+        "row 17, column 'a': non-finite cell '1e999'",
+    ),
+]
+
+
+class TestCsvContract:
+    """save_csv writes the bytes the row writer wrote; load_csv reads in bulk but reports like the row reader."""
+
+    @pytest.mark.parametrize("block_cells", [3, 10, freqfilter.data_io.CSV_BLOCK_CELLS])
+    @pytest.mark.parametrize(
+        "start",
+        [None, datetime(2024, 3, 10, 1, 30), datetime(2024, 1, 1, tzinfo=timezone(timedelta(hours=-8)))],
+        ids=["index", "iso", "iso-offset"],
+    )
+    def test_save_csv_writes_the_bytes_of_the_row_writer(self, tmp_path, monkeypatch, block_cells, start):
+        rng = np.random.default_rng(block_cells)
+        values = rng.normal(0.0, 1.0, (4, 23, 1)) * np.array([1e-7, 1.0, 80.0, 1e12])[:, None, None]
+        values[0, :3, 0] = [-4e-7, 5e-7, -0.0]  # rounds to -0.000000, a half-way case, negative zero
+        node_ids = ("a", "b,c", 'say "hi"', "50%")
+        series = TimeSeriesTensor(values, node_ids, interval_seconds=60)
+        monkeypatch.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", block_cells)
+        save_csv(series, tmp_path / "bulk.csv", start_timestamp=start)
+        save_csv_by_rows(series, tmp_path / "rows.csv", start_timestamp=start)
+        written = (tmp_path / "bulk.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written.count(b"\r\n") == 1 + series.n_steps
+        reloaded = load_csv(tmp_path / "bulk.csv")
+        assert reloaded.node_ids == node_ids
+        np.testing.assert_allclose(reloaded.values, values, atol=5e-7)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        columns=st.integers(1, 4),
+        data=st.data(),
+        iso=st.booleans(),
+        interval=st.sampled_from([1, 60, 300, 3600]),
+        block_cells=st.sampled_from([2, 9, freqfilter.data_io.CSV_BLOCK_CELLS]),
+    )
+    def test_round_trip_rounds_to_six_decimals(self, columns, data, iso, interval, block_cells):
+        steps = data.draw(st.integers(1, 30))
+        cells = data.draw(
+            st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=columns * steps, max_size=columns * steps)
+        )
+        values = np.array(cells).reshape(columns, steps, 1)
+        series = TimeSeriesTensor(values, tuple(f"n{i}" for i in range(columns)), interval_seconds=interval)
+        start = datetime(2023, 12, 31, 23, 0) if iso else None
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", block_cells)
+            path = Path(tmp) / "series.csv"
+            save_csv(series, path, start_timestamp=start)
+            loaded = load_csv(path)
+        rounded = np.array([float(f"{v:.6f}") for v in cells]).reshape(values.shape)
+        assert loaded.values.tobytes() == rounded.tobytes()  # bit for bit, the sign of zero too
+        assert loaded.node_ids == series.node_ids
+        assert loaded.interval_seconds == (interval if iso and steps > 1 else 300)
+
+    @pytest.mark.parametrize("block_cells", [4, freqfilter.data_io.CSV_BLOCK_CELLS])
+    @pytest.mark.parametrize("content, message", [case[1:] for case in _MALFORMED_CSVS], ids=[c[0] for c in _MALFORMED_CSVS])
+    def test_malformed_input_keeps_its_message(self, tmp_path, monkeypatch, block_cells, content, message):
+        monkeypatch.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", block_cells)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content.encode())
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("block_cells", [4, freqfilter.data_io.CSV_BLOCK_CELLS])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            'timestamp,"a,b",c\r\n0,"1.5", 2.5\r\n1,3.5,"4.5"\r\n',
+            "timestamp,a,b\r0,1.5,2.5\r1,3.5,4.5",
+            "timestamp,a,b\n0, 1.5 ,2.5\n1,3.5,4_5e-1\n",
+        ],
+        ids=["quoted-cells", "cr-line-ends", "spaces-and-underscores"],
+    )
+    def test_inputs_the_row_reader_accepts_still_load(self, tmp_path, monkeypatch, block_cells, content):
+        monkeypatch.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", block_cells)
+        path = tmp_path / "ok.csv"
+        path.write_bytes(content.encode())
+        loaded = load_csv(path)
+        assert loaded.values[:, :, 0].T.tolist() == [[1.5, 2.5], [3.5, 4.5]]
 
 
 class TestSynthetic:

@@ -472,3 +472,55 @@ class TestRollingEvaluate:
 
         small, large = peak(1_000), peak(4_000)
         assert large <= 1.5 * small, (small, large)
+
+    def test_folds_once_per_call_with_the_bits_of_a_fold_per_block(self, monkeypatch):
+        monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 8)
+        state = perturbed_state(6, 3, 1, 3, seed=4)
+        series = TimeSeriesTensor(np.random.default_rng(4).normal(50.0, 9.0, (3, 80, 1)), ("a", "b", "c"))
+
+        class RefoldingPredictor:
+            """Exposes only predict, so every block folds again: the per-block path."""
+
+            def predict(self, histories):
+                return state.predict(histories)
+
+        folds = []
+        fold = FilterPredictorState.fold
+        monkeypatch.setattr(FilterPredictorState, "fold", lambda self: folds.append(1) or fold(self))
+        once = rolling_evaluate(state, series, 6, 3, stride=2)
+        assert len(folds) == 1
+        per_block = rolling_evaluate(RefoldingPredictor(), series, 6, 3, stride=2)
+        assert len(folds) == 1 + 18  # 36 anchors of 3 nodes, 2 anchors per block
+        assert once == per_block
+
+    @pytest.mark.parametrize("history, horizon", [(6, 3), (3, 6), (5, 5)])
+    def test_predecessor_mode_gathers_no_histories(self, monkeypatch, history, horizon):
+        monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 8)
+        series = TimeSeriesTensor(np.random.default_rng(2).normal(50.0, 9.0, (3, 70, 1)), ("a", "b", "c"))
+        predictor = FilteredCopyLastStepPredictor(horizon, window=3)
+
+        # The previous loop: every block's histories gathered, then left unread.
+        source = predictor.transform_series(series.values)
+        anchors = freqfilter.predictors.window_anchors(70, history, horizon, 1)
+        sums = 0.0
+        for block, _, targets in freqfilter.predictors.iter_windows(series.values, anchors, history, horizon):
+            sums += freqfilter.predictors.error_sums(
+                freqfilter.predictors._gather(source, block + history - 1, horizon), targets
+            )
+        previous = freqfilter.predictors.RollingReport(
+            *freqfilter.predictors.reports_from_sums(sums), series.interval_seconds
+        )
+
+        gathered = []
+        gather = freqfilter.predictors._gather
+
+        def spy(values, starts, length):
+            gathered.append(starts.min())
+            return gather(values, starts, length)
+
+        monkeypatch.setattr(freqfilter.predictors, "_gather", spy)
+        report = rolling_evaluate(predictor, series, history, horizon, predecessor_mode=True)
+        assert report == previous
+        # Targets start at anchor + history and predecessors at anchor + history - 1: no gather starts at an anchor.
+        assert len(gathered) == 2 * -(-anchors.size // 2)
+        assert min(gathered) == history - 1
