@@ -10,6 +10,8 @@ flags win over config entries, which win over the defaults.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from itertools import islice, repeat
 from pathlib import Path
@@ -18,6 +20,7 @@ import numpy as np
 
 from .data_io import (
     CSV_BLOCK_CELLS,
+    EXACT_INT_LIMIT,
     CheckpointError,
     CsvFormatError,
     SyntheticConfig,
@@ -210,10 +213,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     h, t = state.history, state.horizon
     anchors = window_anchors(series.n_steps, h, t, args.stride)
     forecaster = state.fold()
+    node_cells = [node.replace("%", "%%") for node in _forecast_ids(series)]
     # One anchor's rows, step-major then node; each row's timestamp, predicted and actual are filled in.
-    anchor_rows = "".join(
-        f"%d,{node.replace('%', '%%')},{step + 1},%.6f,%.6f\n" for step in range(t) for node in series.node_ids
-    )
+    anchor_rows = "".join(f"%d,{node},{step + 1},%.6f,%.6f\n" for step in range(t) for node in node_cells)
     offsets = np.repeat(np.arange(h, h + t, dtype=np.float64), series.n_nodes)  # row timestamp - anchor
     with Path(args.out).open("w") as fh:
         fh.write(_FORECAST_HEADER + "\n")
@@ -227,25 +229,46 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _forecast_ids(series: TimeSeriesTensor) -> list[str]:
+    """Node ids as forecast CSV cells, quoted the way csv.writer quotes the data header."""
+    cells = []
+    for node in series.node_ids:
+        if "\n" in node or "\r" in node:
+            raise ValueError(f"node id {node!r} contains a line break, which a forecast CSV row cannot hold")
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="").writerow([node])
+        cells.append(buffer.getvalue())
+    return cells
+
+
+def _horizon_step(text: str) -> int:
+    step = int(text)
+    if abs(step) > EXACT_INT_LIMIT:  # the step travels through a float64 table
+        raise CsvFormatError(f"integer cell {text!r} is beyond ±2^53, where float64 skips integers")
+    return step
+
+
 _FORECAST_HEADER = "timestamp,node_id,horizon_step,predicted,actual"
-_FORECAST_NUMBERS = (("horizon_step", int), ("predicted", float), ("actual", float))
+_FORECAST_NUMBERS = (("horizon_step", _horizon_step), ("predicted", float), ("actual", float))
 
 
 def _parse_forecast_rows(path: str, first_line: int, lines: list[str]) -> np.ndarray:
     """(rows, 3) horizon_step, predicted, actual, one line at a time: the first bad line raises."""
     rows = []
     for line_num, line in enumerate(lines, start=first_line):
-        parts = line.strip().split(",")
+        text = line.strip()
+        parts = next(csv.reader([text])) if '"' in text else text.split(",")  # node ids may be quoted
         if len(parts) != 5:
             raise CsvFormatError(f"{path}:{line_num}: expected 5 cells, got {len(parts)}")
-        try:
-            rows.append((int(parts[2]), float(parts[3]), float(parts[4])))
-        except ValueError:
-            for (column, convert), text in zip(_FORECAST_NUMBERS, parts[2:]):
-                try:
-                    convert(text)
-                except ValueError:
-                    raise CsvFormatError(f"{path}:{line_num}: column {column!r}: non-numeric cell {text!r}") from None
+        row = []
+        for (column, convert), cell in zip(_FORECAST_NUMBERS, parts[2:]):
+            try:
+                row.append(convert(cell))
+            except CsvFormatError as exc:
+                raise CsvFormatError(f"{path}:{line_num}: column {column!r}: {exc}") from None
+            except ValueError:
+                raise CsvFormatError(f"{path}:{line_num}: column {column!r}: non-numeric cell {cell!r}") from None
+        rows.append(row)
     return np.array(rows)
 
 

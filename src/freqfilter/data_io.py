@@ -27,6 +27,9 @@ DEFAULT_INTERVAL_SECONDS = 300
 # Cells per block when CSV text is parsed or formatted in bulk: about 0.2 MB of text, and a
 # few MB of Python objects. Blocks 8x larger timed no faster and peaked 4x higher.
 CSV_BLOCK_CELLS = 2**14
+# Integer cells (index timestamps, forecast horizon steps) travel as float64, which holds
+# every integer up to 2^53 in magnitude exactly and skips some beyond it.
+EXACT_INT_LIMIT = 2**53
 
 
 class CsvFormatError(ValueError):
@@ -36,9 +39,13 @@ class CsvFormatError(ValueError):
 def _parse_timestamp(raw: str, row: int) -> tuple[str, float]:
     text = raw.strip()
     try:
-        return "index", float(int(text))
+        index = int(text)
     except ValueError:
         pass
+    else:
+        if abs(index) > EXACT_INT_LIMIT:
+            raise CsvFormatError(f"row {row}: integer timestamp {text!r} is beyond ±2^53, where float64 skips integers")
+        return "index", float(index)
     try:
         stamp = datetime.fromisoformat(text)
     except ValueError:
@@ -93,7 +100,7 @@ def _parse_block(rows: list[list[str]], header: list[str], first_row: int) -> tu
             stamps = [_parse_timestamp(cell, row) for row, cell in enumerate(cells[::n_columns], start=first_row)]
             del cells[::n_columns]
             values = np.array(list(map(float, cells))).reshape(len(rows), n_columns - 1)
-        except (ValueError, OverflowError):
+        except ValueError:
             pass
         else:
             if np.isfinite(values).all():

@@ -16,6 +16,8 @@ import numpy as np
 
 from .spectral import half_length, irfft, rfft
 
+EXTRA_COLUMN_STD = 0.05  # std of the random lift columns past the identity embedding
+
 
 def moving_average(x, window: int, time_axis: int = 0) -> np.ndarray:
     """Causal trailing mean; the window shrinks at the start so length is preserved."""
@@ -180,7 +182,6 @@ class FilterModuleState:
         in_features: int,
         width: int,
         rng: np.random.Generator | None = None,
-        extra_column_std: float = 0.05,
     ) -> "FilterModuleState":
         """Identity-style init: embed the input features, pass extra channels through zero.
 
@@ -196,7 +197,7 @@ class FilterModuleState:
         weight = np.zeros((in_features, width))
         weight[np.arange(in_features), np.arange(in_features)] = 1.0
         if rng is not None and width > in_features:
-            weight[:, in_features:] = rng.normal(0.0, extra_column_std, (in_features, width - in_features))
+            weight[:, in_features:] = rng.normal(0.0, EXTRA_COLUMN_STD, (in_features, width - in_features))
         lift = PointwiseLinear(weight, np.zeros(width))
         return cls(lift, SpectralKernel(window_length, width))
 

@@ -167,9 +167,8 @@ class FilterPredictorState:
         rng = np.random.default_rng(seed)
         filter_module = FilterModuleState.initialize(history, n_features, width, rng=rng)
         weight = np.zeros((history * width, horizon * n_features))
-        for step in range(horizon):
-            for f in range(n_features):
-                weight[(history - 1) * width + f, step * n_features + f] = 1.0
+        outputs = np.arange(horizon * n_features)  # step * n_features + f reads channel f of the last step
+        weight[(history - 1) * width + outputs % n_features, outputs] = 1.0
         readout = PointwiseLinear(weight, np.zeros(horizon * n_features))
         return cls(filter_module, readout, norm, horizon)
 
@@ -282,10 +281,9 @@ def window_anchors(n_steps: int, history: int, horizon: int, stride: int) -> np.
     return np.arange(0, n_steps - history - horizon + 1, stride)
 
 
-def _gather(values: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
-    """values[v, s : s + length] for every start s and node v, window-major: (starts * nodes, length, F)."""
-    nodes = np.arange(values.shape[0])[:, None]
-    spans = values[nodes, starts[:, None, None] + np.arange(length)]
+def _gather(values: np.ndarray, nodes: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """values[v, s : s + length] for every (v, s) pair of the broadcast nodes and starts: (pairs, length, F)."""
+    spans = values[nodes[..., None], starts[..., None] + np.arange(length)]
     return spans.reshape(-1, length, values.shape[2])
 
 
@@ -298,8 +296,10 @@ def _anchor_blocks(anchors: np.ndarray, n_nodes: int):
 
 def iter_windows(values: np.ndarray, anchors: np.ndarray, history: int, horizon: int):
     """Yield (anchors, histories, targets) per block of at most WINDOW_BLOCK windows (one anchor at least)."""
+    nodes = np.arange(values.shape[0])
     for block in _anchor_blocks(anchors, values.shape[0]):
-        yield block, _gather(values, block, history), _gather(values, block + history, horizon)
+        starts = block[:, None]
+        yield block, _gather(values, nodes, starts, history), _gather(values, nodes, starts + history, horizon)
 
 
 def rolling_evaluate(
@@ -331,13 +331,15 @@ def rolling_evaluate(
         source = transform(values)
     elif isinstance(predictor, FilterPredictorState):
         predictor = predictor.fold()
+    nodes = np.arange(values.shape[0])
     sums = 0.0
     for block in _anchor_blocks(anchors, values.shape[0]):
-        targets = _gather(values, block + history, horizon)
+        starts = block[:, None]
+        targets = _gather(values, nodes, starts + history, horizon)
         if predecessor_mode:
-            preds = _gather(source, block + history - 1, horizon)
+            preds = _gather(source, nodes, starts + history - 1, horizon)
         else:
-            preds = np.asarray(predictor.predict(_gather(values, block, history)))
+            preds = np.asarray(predictor.predict(_gather(values, nodes, starts, history)))
             if preds.shape != targets.shape:
                 raise ValueError(f"predictor returned shape {preds.shape}, expected {targets.shape}")
         sums += error_sums(preds, targets, mape_epsilon)

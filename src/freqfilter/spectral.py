@@ -75,14 +75,8 @@ def rfft(x) -> np.ndarray:
     n = x.shape[0]
     # NumPy transforms a 2-D (n, columns) array several times faster than
     # the same columns laid out in more dimensions or strided.
-    half = np.fft.rfft(x.reshape(n, -1), axis=0)
-    half = half.reshape((half_length(n),) + x.shape[1:])
-    # Boundary bins of a real signal are real; zero the rounding residue so
-    # the invariant is exact rather than approximate.
-    half.imag[0] = 0.0
-    if n % 2 == 0:
-        half.imag[n // 2] = 0.0
-    return half
+    # NumPy's real transform returns the boundary bins with imaginary parts exactly 0.
+    return np.fft.rfft(x.reshape(n, -1), axis=0).reshape((half_length(n),) + x.shape[1:])
 
 
 def spectrum_to_full(half, n: int) -> np.ndarray:

@@ -8,10 +8,12 @@ import numpy as np
 
 from .filters import ParamSlot
 from .metrics import error_sums, reports_from_sums
-from .predictors import iter_windows
+from .predictors import _gather, iter_windows
 from .tensor import TimeSeriesTensor
 
 SPLIT_NAMES = ("train", "val", "test")
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's moment decays and guard
 
 
 class TrainingDivergedError(RuntimeError):
@@ -75,15 +77,10 @@ class WindowedDataset:
 
     def gather(self, split: str, sample_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-node batches: sample id = window * n_nodes + node."""
-        anchors = self.split_anchors[split]
-        w = sample_ids // self.n_nodes
-        v = sample_ids % self.n_nodes
-        starts = anchors[w][:, None]
-        hist = self.values[v[:, None], starts + np.arange(self.history)[None, :], :]
-        targ = self.values[
-            v[:, None], starts + self.history + np.arange(self.horizon)[None, :], :
-        ]
-        return hist, targ
+        nodes = sample_ids % self.n_nodes
+        starts = self.split_anchors[split][sample_ids // self.n_nodes]
+        hist = _gather(self.values, nodes, starts, self.history)
+        return hist, _gather(self.values, nodes, starts + self.history, self.horizon)
 
 
 def make_windows(
@@ -119,10 +116,7 @@ def make_windows(
             raise ValueError(
                 f"{name} split has {size} steps but needs at least {needed} (history {history} + horizon {horizon})"
             )
-        if size >= needed:
-            anchors[name] = np.arange(cursor, cursor + size - needed + 1)
-        else:
-            anchors[name] = np.arange(0)
+        anchors[name] = np.arange(cursor, cursor + size - needed + 1)  # empty when size < needed
         cursor += size
 
     return WindowedDataset(
@@ -153,23 +147,20 @@ def adam_step(
     v: np.ndarray,
     step: int,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One bias-corrected moment update, in place on param/m/v."""
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient passed to adam_step")
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
     # param -= lr * m_hat / (sqrt(v_hat) + eps), in place: the same bits without three more
     # parameter-sized temporaries, which set a training step's peak memory on long windows.
     np.sqrt(v_hat, out=v_hat)
-    v_hat += eps
+    v_hat += ADAM_EPS
     m_hat *= lr
     m_hat /= v_hat
     param -= m_hat
@@ -178,12 +169,9 @@ def adam_step(
 class Adam:
     """Adam over a fixed list of parameter slots; re-pins constrained entries after each step."""
 
-    def __init__(self, slots: list[ParamSlot], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, slots: list[ParamSlot], lr: float):
         self.slots = slots
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(s.value) for s in slots]
         self.v = [np.zeros_like(s.value) for s in slots]
@@ -191,7 +179,7 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         for slot, m, v in zip(self.slots, self.m, self.v):
-            adam_step(slot.value, slot.grad, m, v, self.step_count, self.lr, self.beta1, self.beta2, self.eps)
+            adam_step(slot.value, slot.grad, m, v, self.step_count, self.lr)
             slot.apply_pins()
 
 

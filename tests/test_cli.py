@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,76 @@ def test_malformed_forecast_keeps_its_message(tmp_path, capsys, monkeypatch, blo
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
+def _predict_and_score(tmp_path, name, node_ids):
+    """Forecast a seeded series under these node ids and score the forecast CSV: (forecast text, metrics CSV bytes)."""
+    state = FilterPredictorState.initialize(5, 3, 1, 2, NormStats([40.0], [15.0]), seed=4)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(state, ckpt)
+    data, forecast, metrics = (tmp_path / f"{name}.{kind}.csv" for kind in ("data", "forecast", "metrics"))
+    save_csv(TimeSeriesTensor(np.random.default_rng(4).normal(40.0, 15.0, (len(node_ids), 40, 1)), node_ids), data)
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(forecast), "--stride", "3"]) == 0
+    assert main(["evaluate", "--forecast", str(forecast), "--csv-out", str(metrics)]) == 0
+    return forecast.read_text(), metrics.read_bytes()
+
+
+@pytest.mark.parametrize("block_cells", [15, freqfilter.data_io.CSV_BLOCK_CELLS])
+def test_forecast_csv_keeps_quoted_node_ids(tmp_path, monkeypatch, block_cells):
+    monkeypatch.setattr(freqfilter.cli, "CSV_BLOCK_CELLS", block_cells)
+    quoted_ids = ("a,b", 'q"x', '"', "50%,")
+    quoted, quoted_metrics = _predict_and_score(tmp_path, "quoted", quoted_ids)
+    plain, plain_metrics = _predict_and_score(tmp_path, "plain", ("n0", "n1", "n2", "n3"))
+    assert quoted_metrics == plain_metrics
+    rows = list(csv.reader(quoted.splitlines()))
+    assert [row[1] for row in rows[1:5]] == list(quoted_ids)
+    # Apart from the node id cell, every row is the row written for plain ids.
+    assert [row[:1] + row[2:] for row in rows] == [row.split(",")[:1] + row.split(",")[2:] for row in plain.splitlines()]
+    assert quoted.splitlines()[1].split(",", 1)[1].startswith('"a,b",1,')
+
+
+@pytest.mark.parametrize("node", ["a\nb", "c\rd", "e\r\nf"])
+def test_predict_rejects_node_ids_with_line_breaks(tmp_path, capsys, small_ckpt, node):
+    data = tmp_path / "data.csv"
+    save_csv(TimeSeriesTensor(np.full((2, 20, 1), 50.0), ("ok", node)), data)
+    assert load_csv(data).node_ids == ("ok", node)
+    out = tmp_path / "forecast.csv"
+    assert main(["predict", "--checkpoint", str(small_ckpt), "--data", str(data), "--out", str(out)]) == 1
+    message = f"node id {node!r} contains a line break, which a forecast CSV row cannot hold"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block_cells", [15, freqfilter.data_io.CSV_BLOCK_CELLS])
+@pytest.mark.parametrize(
+    "step",
+    ["9" * 400, str(2**63 - 1), str(2**53 + 1), str(-(2**53) - 1)],
+    ids=["400-digits", "2^63-1", "2^53+1", "-2^53-1"],
+)
+def test_evaluate_forecast_rejects_steps_float64_cannot_hold(tmp_path, capsys, monkeypatch, block_cells, step):
+    monkeypatch.setattr(freqfilter.cli, "CSV_BLOCK_CELLS", block_cells)
+    rows = list(_FORECAST_ROWS)
+    rows[2] = f"7,a,{step},50.5,49.0"
+    path = tmp_path / "forecast.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["evaluate", "--forecast", str(path)]) == 1
+    message = f"{path}:3: column 'horizon_step': integer cell {step!r} is beyond ±2^53, where float64 skips integers"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("block_cells", [15, freqfilter.data_io.CSV_BLOCK_CELLS])
+def test_evaluate_forecast_scores_steps_up_to_2_53(tmp_path, monkeypatch, block_cells):
+    monkeypatch.setattr(freqfilter.cli, "CSV_BLOCK_CELLS", block_cells)
+    rows = list(_FORECAST_ROWS)
+    rows[2] = f"7,a,{2**53},50.5,49.0"
+    rows[3] = f"7,a,{-(2**53)},52.0,53.0"
+    path = tmp_path / "forecast.csv"
+    path.write_text("\n".join(rows) + "\n")
+    csv_out = tmp_path / "metrics.csv"
+    assert main(["evaluate", "--forecast", str(path), "--csv-out", str(csv_out)]) == 0
+    assert [line.split(",")[0] for line in csv_out.read_text().splitlines()[1:]] == [
+        str(-(2**53)), "1", str(2**53), "aggregate"
+    ]
+
+
 @pytest.mark.parametrize(
     "flags, entries, option",
     [
@@ -294,6 +366,36 @@ def test_train_with_seed_list_reports_spread(tmp_path, small_csv, capsys):
     assert "mean" in out and "+/-" in out
     assert ckpt.with_suffix(ckpt.suffix + ".seed1").exists()
     assert ckpt.with_suffix(ckpt.suffix + ".seed2").exists()
+
+
+def test_train_seed_list_with_a_log_path_writes_one_log_per_seed(tmp_path, small_csv):
+    ckpt, log = tmp_path / "model.ckpt", tmp_path / "run.log"
+    assert main([
+        "train", "--data", str(small_csv), "--checkpoint", str(ckpt), "--log", str(log),
+        "--history", "6", "--horizon", "3", "--width", "2",
+        "--epochs", "1", "--batch-size", "512", "--seeds", "1,2",
+    ]) == 0
+    assert not log.exists()
+    for seed in (1, 2):
+        assert [line.split()[0] for line in (tmp_path / f"run.log.seed{seed}").read_text().splitlines()] == ["0", "1"]
+        assert not (tmp_path / f"model.ckpt.seed{seed}.log").exists()
+    assert (tmp_path / "run.log.seed1").read_text() != (tmp_path / "run.log.seed2").read_text()
+
+
+def test_config_comments_and_blank_lines_are_skipped(tmp_path, small_csv):
+    by_config, by_flag = tmp_path / "by_config.csv", tmp_path / "by_flag.csv"
+    cfg = _config(tmp_path, "# smoothing", "", "   ", "  # indented comment", "window = 3")
+    assert main(["filter", "--data", str(small_csv), "--out", str(by_config), "--config", cfg]) == 0
+    assert main(["filter", "--data", str(small_csv), "--out", str(by_flag), "--window", "3"]) == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+
+
+def test_config_line_without_equals_is_located(tmp_path, small_csv, capsys):
+    cfg = _config(tmp_path, "# comment", "bogus line", "window=3")
+    out = tmp_path / "out.csv"
+    assert main(["filter", "--data", str(small_csv), "--out", str(out), "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'bogus line'\n"
+    assert not out.exists()
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path, small_csv):

@@ -321,6 +321,50 @@ class TestCsvContract:
         assert loaded.values[:, :, 0].T.tolist() == [[1.5, 2.5], [3.5, 4.5]]
 
 
+_BEYOND_2_53 = "is beyond ±2^53, where float64 skips integers"
+
+
+class TestExactIntegerStamps:
+    """Index stamps travel as float64, which holds every integer up to 2^53 in magnitude and skips some past it."""
+
+    @pytest.mark.parametrize("block_cells", [4, freqfilter.data_io.CSV_BLOCK_CELLS])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("timestamp,a\n0,1.0\n" + "9" * 400 + ",2.0\n", f"row 3: integer timestamp '{'9' * 400}' {_BEYOND_2_53}"),
+            (
+                "timestamp,a\n9007199254740992,1.0\n9007199254740993,2.0\n",
+                f"row 3: integer timestamp '9007199254740993' {_BEYOND_2_53}",
+            ),
+            ("timestamp,a\n-9007199254740993,1.0\n", f"row 2: integer timestamp '-9007199254740993' {_BEYOND_2_53}"),
+            ("timestamp,a,b\n" + "".join(f"{t},1,2\n" for t in range(9)) + " 1" + "0" * 30 + " ,1,2\n", None),
+        ],
+        ids=["400-digits", "2^53+1", "-2^53-1", "late-padded"],
+    )
+    def test_stamps_beyond_2_53_rejected(self, tmp_path, monkeypatch, block_cells, content, message):
+        monkeypatch.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", block_cells)
+        path = tmp_path / "big.csv"
+        path.write_text(content)
+        with pytest.raises(CsvFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == (message or f"row 11: integer timestamp '1{'0' * 30}' {_BEYOND_2_53}")
+
+    @pytest.mark.parametrize("block_cells", [4, freqfilter.data_io.CSV_BLOCK_CELLS])
+    def test_stamps_up_to_2_53_load(self, tmp_path, monkeypatch, block_cells):
+        monkeypatch.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", block_cells)
+        path = tmp_path / "edge.csv"
+        path.write_text("timestamp,a\n9007199254740990,1.0\n9007199254740991,2.0\n9007199254740992,3.0\n")
+        assert load_csv(path).values[0, :, 0].tolist() == [1.0, 2.0, 3.0]
+
+    def test_cli_reports_the_stamp_without_a_traceback(self, tmp_path, capsys):
+        from freqfilter.cli import main
+
+        path = tmp_path / "big.csv"
+        path.write_text("timestamp,a\n0,1.0\n" + "9" * 400 + ",2.0\n")
+        assert main(["filter", "--data", str(path), "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"error: row 3: integer timestamp '{'9' * 400}' {_BEYOND_2_53}\n"
+
+
 class TestSynthetic:
     def test_same_seed_is_bitwise_identical(self):
         cfg = SyntheticConfig(n_nodes=3, n_days=2, rng_seed=42)
@@ -579,3 +623,13 @@ class TestCheckpoints:
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
         assert loaded.norm is None
+
+    def test_zero_history_in_header_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_like_state(), path)
+        data = bytearray(path.read_bytes())
+        offset = len(CHECKPOINT_MAGIC) + 4  # magic, u32 version, then u32 history
+        data[offset : offset + 4] = (0).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointShapeError, match="^non-positive dimensions in header: history=0 horizon=12 "):
+            load_checkpoint(path)

@@ -111,6 +111,16 @@ class TestFilterPredictor:
             state.predict(histories), copy_last_step(histories, 12), atol=1e-6
         )
 
+    @pytest.mark.parametrize("history, horizon, features, width", [(1, 1, 1, 1), (5, 3, 2, 3), (4, 7, 3, 5)])
+    def test_untrained_readout_copies_each_feature_of_the_last_step(self, history, horizon, features, width):
+        expected = np.zeros((history * width, horizon * features))
+        for step in range(horizon):  # reference loop: output (step, f) reads lifted channel f of the last step
+            for f in range(features):
+                expected[(history - 1) * width + f, step * features + f] = 1.0
+        state = self.make_state(history, horizon, features, width)
+        np.testing.assert_array_equal(state.readout.weight, expected)
+        np.testing.assert_array_equal(state.readout.bias, np.zeros(horizon * features))
+
     def test_single_window_and_batch_agree(self):
         state = self.make_state()
         rng = np.random.default_rng(2)
@@ -407,6 +417,14 @@ class TestRollingEvaluate:
         with pytest.raises(TypeError, match="rolling-predecessor"):
             rolling_evaluate(state, series, 6, 3, predecessor_mode=True)
 
+    def test_predictor_of_the_wrong_shape_is_rejected(self):
+        class OneStepShort:
+            def predict(self, histories):
+                return copy_last_step(histories, 2)
+
+        with pytest.raises(ValueError, match=r"^predictor returned shape \(22, 2, 1\), expected \(22, 3, 1\)$"):
+            rolling_evaluate(OneStepShort(), ramp_series(n_steps=30), 6, 3)
+
     def test_step_minutes_follow_interval(self):
         series = ramp_series(n_steps=40)
         report = rolling_evaluate(CopyLastStepPredictor(3), series, 6, 3)
@@ -503,9 +521,10 @@ class TestRollingEvaluate:
         source = predictor.transform_series(series.values)
         anchors = freqfilter.predictors.window_anchors(70, history, horizon, 1)
         sums = 0.0
+        nodes = np.arange(3)
         for block, _, targets in freqfilter.predictors.iter_windows(series.values, anchors, history, horizon):
             sums += freqfilter.predictors.error_sums(
-                freqfilter.predictors._gather(source, block + history - 1, horizon), targets
+                freqfilter.predictors._gather(source, nodes, block[:, None] + history - 1, horizon), targets
             )
         previous = freqfilter.predictors.RollingReport(
             *freqfilter.predictors.reports_from_sums(sums), series.interval_seconds
@@ -514,9 +533,9 @@ class TestRollingEvaluate:
         gathered = []
         gather = freqfilter.predictors._gather
 
-        def spy(values, starts, length):
+        def spy(values, nodes, starts, length):
             gathered.append(starts.min())
-            return gather(values, starts, length)
+            return gather(values, nodes, starts, length)
 
         monkeypatch.setattr(freqfilter.predictors, "_gather", spy)
         report = rolling_evaluate(predictor, series, history, horizon, predecessor_mode=True)

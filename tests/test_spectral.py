@@ -94,6 +94,14 @@ class TestRfft:
             assert s.imag[0] == 0.0
             if n % 2 == 0:
                 assert s.imag[-1] == 0.0
+        # rfft relies on NumPy for these zeros in every column; a -0.0 would also change downstream bits.
+        for columns in ((), (3,), (48,), (4, 3)):
+            for n in (1, 7, 288, 1031, 2016, 4096, 4099):
+                scale = rng.choice([1e-6, 1.0, 1e6], (n, *columns))
+                s = rfft(rng.standard_normal((n, *columns)) * scale)
+                boundary = s.imag[[0, n // 2] if n % 2 == 0 else [0]]
+                assert np.all(boundary == 0.0)
+                assert not np.any(np.signbit(boundary))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from freqfilter.filters import SpectralKernel
 from freqfilter.predictors import CopyLastStepPredictor, FilterPredictorState, rolling_evaluate
 from freqfilter.tensor import TimeSeriesTensor, slice_window
 from freqfilter.training import (
+    SGD,
     Adam,
     TrainConfig,
     TrainingDivergedError,
@@ -88,6 +89,17 @@ class TestMakeWindows:
         np.testing.assert_array_equal(hist, series.values[:, 3:8, :])
         np.testing.assert_array_equal(targ, series.values[:, 8:12, :])
 
+    def test_gather_cuts_each_sample_from_its_node_and_anchor(self):
+        values = np.random.default_rng(5).normal(size=(3, 60, 2))
+        ds = make_windows(TimeSeriesTensor(values, ("a", "b", "c")), 5, 4, (0.5, 0.5, 0.0))
+        ids = np.random.default_rng(6).permutation(ds.n_samples("val"))[:20]
+        hist, targ = ds.gather("val", ids)
+        for i, sample in enumerate(ids):  # sample id = window * n_nodes + node
+            node, anchor = sample % 3, ds.split_anchors["val"][sample // 3]
+            np.testing.assert_array_equal(hist[i], values[node, anchor : anchor + 5])
+            np.testing.assert_array_equal(targ[i], values[node, anchor + 5 : anchor + 9])
+        assert hist.shape == (20, 5, 2) and targ.shape == (20, 4, 2)
+
     def test_insufficient_length_reports_requirement(self):
         series = toy_series(20)
         with pytest.raises(ValueError, match="at least 15"):
@@ -161,6 +173,17 @@ class TestAdamStep:
             opt.step()
         rows = list(kernel.pinned_rows)
         np.testing.assert_array_equal(kernel.k_im[rows], np.zeros((len(rows), 2)))
+
+
+def test_sgd_names_the_slot_with_a_non_finite_gradient():
+    kernel = SpectralKernel(8, 2)
+    kernel.g_re[...] = 1.0
+    kernel.g_im[1, 0] = np.inf
+    before = kernel.k_re.copy()
+    with pytest.raises(FloatingPointError, match=r"^non-finite gradient in k\.im$"):
+        SGD(kernel.parameters("k"), lr=0.1).step()
+    np.testing.assert_array_equal(kernel.k_im, np.zeros_like(kernel.k_im))  # the bad slot is left as it was
+    assert not np.array_equal(kernel.k_re, before)  # the slot before it had already stepped
 
 
 def prepared_state(series, h=12, t=12, width=4, seed=0):
