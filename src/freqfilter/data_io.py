@@ -363,15 +363,7 @@ def save_checkpoint(state, path) -> None:
         chunks.append(struct.pack("<B", 1))
         chunks.append(np.ascontiguousarray(state.norm.mean, dtype="<f8").tobytes())
         chunks.append(np.ascontiguousarray(state.norm.std, dtype="<f8").tobytes())
-    for arr in (
-        state.filter.lift.weight,
-        state.filter.lift.bias,
-        state.filter.kernel.k_re,
-        state.filter.kernel.k_im,
-        state.readout.weight,
-        state.readout.bias,
-    ):
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    chunks.append(state.params.astype("<f8", copy=False).tobytes())  # already in payload order
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -445,10 +437,9 @@ def load_checkpoint(path):
         norm = NormStats(mean, std)
 
     kernel = SpectralKernel(history, width)
-    kernel.k_re[...] = k_re
-    kernel.k_im[...] = k_im
-    if np.any(kernel.k_im[list(kernel.pinned_rows)] != 0.0):
-        raise CheckpointError("kernel imaginary plane is nonzero at a pinned boundary bin")
     module = FilterModuleState(PointwiseLinear(lift_w, lift_b), kernel)
-    readout = PointwiseLinear(readout_w, readout_b)
-    return FilterPredictorState(module, readout, norm, horizon)
+    state = FilterPredictorState(module, PointwiseLinear(readout_w, readout_b), norm, horizon)
+    kernel.k_re[...], kernel.k_im[...] = k_re, k_im
+    if np.any(state.params[state.pin_mask]):
+        raise CheckpointError("kernel imaginary plane is nonzero at a pinned boundary bin")
+    return state

@@ -10,8 +10,6 @@ evaluation the fold is tested against, and it caches nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spectral import half_length, irfft, rfft
@@ -45,26 +43,12 @@ def blend_with_original(x, y) -> np.ndarray:
     return (x + y) / 2.0
 
 
-@dataclass
-class ParamSlot:
-    """One trainable array with its gradient buffer and optional pinned entries."""
-
-    name: str
-    value: np.ndarray
-    grad: np.ndarray
-    pin_mask: np.ndarray | None = None
-
-    def apply_pins(self) -> None:
-        if self.pin_mask is not None:
-            self.value[self.pin_mask] = 0.0
-            self.grad[self.pin_mask] = 0.0
-
-
 class PointwiseLinear:
     """Linear map over the trailing feature axis, applied independently per position.
 
     Equivalent to a width-1 convolution along time: every time step is mapped
-    by the same (d_in, d_out) weight and bias.
+    by the same (d_in, d_out) weight and bias. Its gradients g_weight and g_bias
+    exist once a FilterPredictorState has adopted the layer.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
@@ -78,8 +62,6 @@ class PointwiseLinear:
             raise ValueError("parameters must be finite")
         self.weight = weight
         self.bias = bias
-        self.g_weight = np.zeros_like(weight)
-        self.g_bias = np.zeros_like(bias)
 
     @property
     def d_in(self) -> int:
@@ -94,12 +76,6 @@ class PointwiseLinear:
             raise ValueError(f"expected trailing width {self.d_in}, got {x.shape[-1]}")
         return x @ self.weight + self.bias
 
-    def parameters(self, prefix: str) -> list[ParamSlot]:
-        return [
-            ParamSlot(f"{prefix}.weight", self.weight, self.g_weight),
-            ParamSlot(f"{prefix}.bias", self.bias, self.g_bias),
-        ]
-
 
 class SpectralKernel:
     """Trainable complex filter over the half spectrum, one coefficient per (bin, channel).
@@ -109,10 +85,10 @@ class SpectralKernel:
     (even windows) are pinned to zero: those frequencies must stay real for
     the filtered spectrum to invert to a real sequence.
 
-    The real and imaginary parts live in two real arrays, k_re and k_im:
-    they are the optimiser's parameter slots, k_im carries the pin mask, and
-    checkpoints store them in that order. `coefficients` joins them into the
-    complex kernel that the filter multiplies by.
+    The real and imaginary parts live in two real arrays, k_re and k_im,
+    stored in that order by checkpoints; their gradients g_re and g_im exist
+    once a FilterPredictorState has adopted the kernel. `coefficients` joins
+    them into the complex kernel that the filter multiplies by.
     """
 
     def __init__(self, window_length: int, width: int):
@@ -123,8 +99,6 @@ class SpectralKernel:
         n_half = half_length(window_length)
         self.k_re = np.ones((n_half, width))
         self.k_im = np.zeros((n_half, width))
-        self.g_re = np.zeros((n_half, width))
-        self.g_im = np.zeros((n_half, width))
 
     @property
     def n_half(self) -> int:
@@ -141,29 +115,12 @@ class SpectralKernel:
             return (0, self.n_half - 1)
         return (0,)
 
-    def im_pin_mask(self) -> np.ndarray:
-        mask = np.zeros_like(self.k_im, dtype=bool)
-        mask[list(self.pinned_rows)] = True
-        return mask
-
-    def enforce_pins(self) -> None:
-        rows = list(self.pinned_rows)
-        self.k_im[rows] = 0.0
-        self.g_im[rows] = 0.0
-
-    def parameters(self, prefix: str) -> list[ParamSlot]:
-        return [
-            ParamSlot(f"{prefix}.re", self.k_re, self.g_re),
-            ParamSlot(f"{prefix}.im", self.k_im, self.g_im, pin_mask=self.im_pin_mask()),
-        ]
-
 
 class FilterModuleState:
     """Per-step lift followed by the learnable frequency-domain filter.
 
-    Holds parameters and their gradient buffers only, no activations: the
-    gradients are written by the predictor's pullback, which needs nothing
-    from a forward pass but the input windows.
+    Holds parameters only, no activations: the predictor's pullback writes
+    the gradients and needs nothing from a forward pass but the input windows.
     """
 
     def __init__(self, lift: PointwiseLinear, kernel: SpectralKernel):
@@ -208,9 +165,6 @@ class FilterModuleState:
     @property
     def width(self) -> int:
         return self.kernel.width
-
-    def parameters(self, prefix: str = "filter") -> list[ParamSlot]:
-        return self.lift.parameters(f"{prefix}.lift") + self.kernel.parameters(f"{prefix}.kernel")
 
 
 def _as_batched_window(x, window_length: int, features: int, what: str):

@@ -14,7 +14,6 @@ import numpy as np
 
 from .filters import (
     FilterModuleState,
-    ParamSlot,
     PointwiseLinear,
     _as_batched_window,
     blend_with_original,
@@ -86,6 +85,20 @@ class FilteredCopyLastStepPredictor:
         return blend_with_original(values, smoothed)
 
 
+@dataclass
+class ParamSlot:
+    """One named parameter array with its gradient and its pinned entries, all views into the predictor's buffers."""
+
+    name: str
+    value: np.ndarray
+    grad: np.ndarray
+    pin_mask: np.ndarray
+
+    def apply_pins(self) -> None:
+        self.value[self.pin_mask] = 0.0
+        self.grad[self.pin_mask] = 0.0
+
+
 @dataclass(frozen=True)
 class AffineForecaster:
     """A trained predictor folded into one affine map on the z-scored window.
@@ -128,6 +141,11 @@ class FilterPredictorState:
     initialized, the readout copies the last time step and the kernel is the
     identity filter, so an untrained predictor reproduces copy_last_step;
     training can only improve on that anchor.
+
+    The parameters live in one float64 buffer `params`, in checkpoint order,
+    beside `grads` and a boolean `pin_mask` of its size. The constructor adopts
+    the layers: every layer array (lift.weight, kernel.g_im, ...) becomes a
+    view into these buffers, so a layer belongs to one predictor at a time.
     """
 
     def __init__(
@@ -153,6 +171,28 @@ class FilterPredictorState:
         self.history = history
         self.features = features
         self.width = width
+        lift, kernel = filter_module.lift, filter_module.kernel
+        arrays = (
+            ("filter.lift.weight", lift, "weight", "g_weight"),
+            ("filter.lift.bias", lift, "bias", "g_bias"),
+            ("filter.kernel.re", kernel, "k_re", "g_re"),
+            ("filter.kernel.im", kernel, "k_im", "g_im"),
+            ("readout.weight", readout, "weight", "g_weight"),
+            ("readout.bias", readout, "bias", "g_bias"),
+        )
+        ends = np.cumsum([getattr(layer, value).size for _, layer, value, _ in arrays]).tolist()
+        self.params = np.empty(ends[-1])
+        self.grads = np.zeros(ends[-1])
+        self.pin_mask = np.zeros(ends[-1], dtype=bool)
+        self._layout = []  # (slot name, slice of the buffers, shape)
+        for (name, layer, value, grad), start, stop in zip(arrays, [0] + ends, ends):
+            span, shape = slice(start, stop), getattr(layer, value).shape
+            self.params[span] = getattr(layer, value).ravel()
+            setattr(layer, value, self.params[span].reshape(shape))
+            setattr(layer, grad, self.grads[span].reshape(shape))
+            self._layout.append((name, span, shape))
+            if value == "k_im":
+                self.pin_mask[span].reshape(shape)[list(kernel.pinned_rows)] = True
 
     @classmethod
     def initialize(
@@ -257,7 +297,14 @@ class FilterPredictorState:
         return self.fold().predict(histories)
 
     def parameters(self) -> list[ParamSlot]:
-        return self.filter.parameters("filter") + self.readout.parameters("readout")
+        """The six named parameter arrays in checkpoint order, as views into params, grads and pin_mask."""
+        buffers = (self.params, self.grads, self.pin_mask)
+        return [ParamSlot(name, *(b[span].reshape(shape) for b in buffers)) for name, span, shape in self._layout]
+
+    def apply_pins(self) -> None:
+        """Zero the pinned entries of the parameters and of their gradients."""
+        self.params[self.pin_mask] = 0.0
+        self.grads[self.pin_mask] = 0.0
 
 
 @dataclass(frozen=True)

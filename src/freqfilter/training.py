@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import ParamSlot
 from .metrics import error_sums, reports_from_sums
 from .predictors import _gather, iter_windows
 from .tensor import TimeSeriesTensor
@@ -17,7 +16,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's moment deca
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss turned NaN/Inf during training."""
+    """Loss or arithmetic left the finite range during training."""
 
 
 @dataclass
@@ -31,8 +30,8 @@ class TrainConfig:
 
     def validate(self) -> None:
         # learning_rate 0 is allowed: it is the documented no-op update.
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
@@ -166,36 +165,41 @@ def adam_step(
     param -= m_hat
 
 
-class Adam:
-    """Adam over a fixed list of parameter slots; re-pins constrained entries after each step."""
+def _check_gradients(state) -> None:
+    """Raise before anything is written if a gradient is non-finite, naming the first such slot."""
+    if not np.all(np.isfinite(state.grads)):
+        name = next(s.name for s in state.parameters() if not np.all(np.isfinite(s.grad)))
+        raise FloatingPointError(f"non-finite gradient in {name}")
 
-    def __init__(self, slots: list[ParamSlot], lr: float):
-        self.slots = slots
+
+class Adam:
+    """Adam over a predictor's parameter buffer; re-pins constrained entries after each step."""
+
+    def __init__(self, state, lr: float):
+        self.state = state
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(s.value) for s in slots]
-        self.v = [np.zeros_like(s.value) for s in slots]
+        self.m = np.zeros_like(state.params)
+        self.v = np.zeros_like(state.params)
 
     def step(self) -> None:
+        _check_gradients(self.state)
         self.step_count += 1
-        for slot, m, v in zip(self.slots, self.m, self.v):
-            adam_step(slot.value, slot.grad, m, v, self.step_count, self.lr)
-            slot.apply_pins()
+        adam_step(self.state.params, self.state.grads, self.m, self.v, self.step_count, self.lr)
+        self.state.apply_pins()
 
 
 class SGD:
-    """Plain gradient descent over parameter slots."""
+    """Plain gradient descent over a predictor's parameter buffer."""
 
-    def __init__(self, slots: list[ParamSlot], lr: float):
-        self.slots = slots
+    def __init__(self, state, lr: float):
+        self.state = state
         self.lr = lr
 
     def step(self) -> None:
-        for slot in self.slots:
-            if not np.all(np.isfinite(slot.grad)):
-                raise FloatingPointError(f"non-finite gradient in {slot.name}")
-            slot.value -= self.lr * slot.grad
-            slot.apply_pins()
+        _check_gradients(self.state)
+        self.state.params -= self.lr * self.state.grads
+        self.state.apply_pins()
 
 
 @dataclass
@@ -214,12 +218,6 @@ class TrainingLog:
         return self.entries[-1][2]
 
 
-def _make_optimizer(cfg: TrainConfig, slots: list[ParamSlot]):
-    if cfg.optimizer == "adam":
-        return Adam(slots, cfg.learning_rate)
-    return SGD(slots, cfg.learning_rate)
-
-
 def evaluate_loss(state, data: WindowedDataset, split: str) -> float:
     """MAE of the predictor over a whole split, in original units; NaN if the split is empty."""
     if data.n_samples(split) == 0:
@@ -234,7 +232,7 @@ def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:
     """Minibatch training with MAE loss; deterministic for a fixed seed.
 
     Each step folds the current parameters into one affine map, forecasts the
-    batch with it and pulls the loss gradient back into the parameter slots.
+    batch with it and pulls the loss gradient back into the gradient buffer.
     Logs epoch 0 (no updates) first, then one entry per epoch. When early
     stopping triggers, the best-validation parameters are restored before
     returning.
@@ -244,8 +242,7 @@ def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:
     if n_samples == 0:
         raise ValueError("training split is empty")
 
-    slots = state.parameters()
-    optimizer = _make_optimizer(cfg, slots)
+    optimizer = (Adam if cfg.optimizer == "adam" else SGD)(state, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
 
     log = TrainingLog()
@@ -255,26 +252,29 @@ def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:
 
     best_val = val_loss
     best_epoch = 0
-    best_params = [s.value.copy() for s in slots] if cfg.early_stop_patience is not None else None
+    best_params = state.params.copy() if cfg.early_stop_patience is not None else None
     stale = 0
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n_samples)
         batch_losses = []
-        for bi, lo in enumerate(range(0, n_samples, cfg.batch_size)):
-            hist, targ = data.gather("train", order[lo : lo + cfg.batch_size])
-            forecaster, pullback = state.fold_and_pullback()
-            loss, grad = mae_loss(forecaster.predict(hist), targ)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}, batch {bi}"
-                )
-            pullback(hist, grad)
-            optimizer.step()
-            batch_losses.append(loss)
+        # Overflow in a step, or in folding the parameters it left, is divergence, not a later irfft error.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for bi, lo in enumerate(range(0, n_samples, cfg.batch_size)):
+                    hist, targ = data.gather("train", order[lo : lo + cfg.batch_size])
+                    forecaster, pullback = state.fold_and_pullback()
+                    loss, grad = mae_loss(forecaster.predict(hist), targ)
+                    if not np.isfinite(loss):
+                        raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}, batch {bi}")
+                    pullback(hist, grad)
+                    optimizer.step()
+                    batch_losses.append(loss)
+                val_loss = evaluate_loss(state, data, "val")
+        except FloatingPointError as exc:
+            raise TrainingDivergedError(f"training diverged at epoch {epoch}, batch {bi}: {exc}") from exc
 
         train_loss = float(np.mean(batch_losses))
-        val_loss = evaluate_loss(state, data, "val")
         log.entries.append((epoch, train_loss, val_loss))
 
         if not np.isfinite(val_loss):
@@ -284,12 +284,11 @@ def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:
             best_epoch = epoch
             stale = 0
             if best_params is not None:
-                best_params = [s.value.copy() for s in slots]
+                best_params = state.params.copy()
         else:
             stale += 1
             if cfg.early_stop_patience is not None and stale > cfg.early_stop_patience:
-                for slot, saved in zip(slots, best_params):
-                    slot.value[...] = saved
+                state.params[...] = best_params
                 log.stopped_early = True
                 break
 

@@ -76,6 +76,30 @@ def identity_module(n, d):
     return FilterModuleState.initialize(n, d, d)
 
 
+def identity_readout(state):
+    """The module wrapped in a predictor whose readout is the identity and whose normalization is (0, 1).
+
+    The predictor's forecasts are the filtered window reshaped to (horizon,
+    features), so its pullback is the module's. It adopts the module: its
+    first four slots are the filter's parameters.
+    """
+    h, d, f = state.window_length, state.width, state.in_features
+    assert (h * d) % f == 0, "the identity readout needs history * width divisible by features"
+    readout = PointwiseLinear(np.eye(h * d), np.zeros(h * d))
+    norm = NormStats(np.zeros(f), np.ones(f))
+    return FilterPredictorState(state, readout, norm, horizon=h * d // f)
+
+
+def filter_slots(predictor):
+    return [slot for slot in predictor.parameters() if slot.name.startswith("filter.")]
+
+
+def pin_kernel(state):
+    """Zero the kernel's pinned imaginary bins through the slot that carries the pin mask."""
+    (im,) = [slot for slot in identity_readout(state).parameters() if slot.name == "filter.kernel.im"]
+    im.apply_pins()
+
+
 class TestFilterForward:
     def test_identity_kernel_identity_lift_is_passthrough(self):
         rng = np.random.default_rng(3)
@@ -96,7 +120,7 @@ class TestFilterForward:
         state = identity_module(n, d)
         state.kernel.k_re[...] = rng.standard_normal(state.kernel.k_re.shape)
         state.kernel.k_im[...] = rng.standard_normal(state.kernel.k_im.shape)
-        state.kernel.enforce_pins()
+        pin_kernel(state)
         x = rng.standard_normal((n, d))
         y = filter_forward(state, x)
         for c in range(d):
@@ -115,7 +139,7 @@ class TestFilterForward:
             state = identity_module(n, 2)
             state.kernel.k_re[...] = rng.standard_normal(state.kernel.k_re.shape)
             state.kernel.k_im[...] = rng.standard_normal(state.kernel.k_im.shape)
-            state.kernel.enforce_pins()
+            pin_kernel(state)
             y = filter_forward(state, rng.standard_normal((n, 2)))
             assert y.dtype == np.float64
             assert np.all(np.isfinite(y))
@@ -126,7 +150,7 @@ class TestFilterForward:
         state = identity_module(n, 1)
         state.kernel.k_re[...] = rng.standard_normal(state.kernel.k_re.shape)
         state.kernel.k_im[...] = rng.standard_normal(state.kernel.k_im.shape)
-        state.kernel.enforce_pins()
+        pin_kernel(state)
         x = rng.standard_normal((n, 1))
         y = filter_forward(state, x)
         time_kernel = irfft(state.kernel.coefficients[:, 0], n)
@@ -139,26 +163,18 @@ def random_module(rng, n=8, features=2, width=3):
     state.lift.bias[...] = rng.normal(0, 0.3, state.lift.bias.shape)
     state.kernel.k_re[...] = rng.normal(0, 0.8, state.kernel.k_re.shape)
     state.kernel.k_im[...] = rng.normal(0, 0.8, state.kernel.k_im.shape)
-    state.kernel.enforce_pins()
+    pin_kernel(state)
     return state
 
 
-def filter_pullback(state, x, grad):
-    """Gradients of sum(grad * filter_forward(state, x)): filter slots written, input gradient returned.
+def filter_pullback(predictor, x, grad):
+    """Gradients of sum(grad * filter_forward(module, x)) for predictor = identity_readout(module).
 
-    The module is wrapped in a predictor whose readout is the identity and
-    whose normalization is (0, 1), so the predictor's forecasts are the
-    filtered window reshaped to (horizon, features) and its pullback is the
-    module's.
+    Writes the filter's gradients into filter_slots(predictor) and returns the input gradient.
     """
-    h, d, f = state.window_length, state.width, state.in_features
-    assert (h * d) % f == 0, "the identity readout needs history * width divisible by features"
-    readout = PointwiseLinear(np.eye(h * d), np.zeros(h * d))
-    norm = NormStats(np.zeros(f), np.ones(f))
-    predictor = FilterPredictorState(state, readout, norm, horizon=h * d // f)
     _, pullback = predictor.fold_and_pullback()
     grad = np.asarray(grad, dtype=np.float64)
-    return pullback(x, grad.reshape(grad.shape[:-2] + (h * d // f, f)))
+    return pullback(x, grad.reshape(grad.shape[:-2] + (predictor.horizon, predictor.features)))
 
 
 class TestFilterBackward:
@@ -166,9 +182,10 @@ class TestFilterBackward:
         rng = np.random.default_rng(7)
         state = random_module(rng)
         x = rng.standard_normal((8, 2))
-        grad_x = filter_pullback(state, x, np.zeros((8, 3)))
+        predictor = identity_readout(state)
+        grad_x = filter_pullback(predictor, x, np.zeros((8, 3)))
         np.testing.assert_array_equal(grad_x, np.zeros((8, 2)))
-        for slot in state.parameters():
+        for slot in filter_slots(predictor):
             np.testing.assert_array_equal(slot.grad, np.zeros_like(slot.grad))
 
     def test_finite_difference_check_all_parameters_and_inputs(self):
@@ -180,9 +197,10 @@ class TestFilterBackward:
         def loss():
             return float(np.sum(weights * filter_forward(state, x)))
 
-        grad_x = filter_pullback(state, x, weights)
+        predictor = identity_readout(state)
+        grad_x = filter_pullback(predictor, x, weights)
 
-        for slot in state.parameters():
+        for slot in filter_slots(predictor):
             numeric = central_difference(loss, slot.value, skip_mask=slot.pin_mask)
             assert max_relative_error(slot.grad, numeric) < 1e-4, slot.name
         numeric_x = central_difference(loss, x)
@@ -194,7 +212,7 @@ class TestFilterBackward:
         state = identity_module(8, 2)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((8, 2))
-        grad_x = filter_pullback(state, x, np.ones((8, 2)))
+        grad_x = filter_pullback(identity_readout(state), x, np.ones((8, 2)))
         np.testing.assert_allclose(grad_x, np.ones((8, 2)), atol=1e-9)
 
         def loss():
@@ -207,7 +225,7 @@ class TestFilterBackward:
 class TestZeroGradients:
     def test_fresh_state_has_zero_buffers(self):
         state = identity_module(6, 2)
-        for slot in state.parameters():
+        for slot in filter_slots(identity_readout(state)):
             np.testing.assert_array_equal(slot.grad, np.zeros_like(slot.grad))
 
     def test_zeroing_after_backward(self):
@@ -216,9 +234,10 @@ class TestZeroGradients:
         rng = np.random.default_rng(10)
         state = random_module(rng)
         x = rng.standard_normal((8, 2))
-        filter_pullback(state, x, rng.standard_normal((8, 3)))
-        filter_pullback(state, x, np.zeros((8, 3)))
-        for slot in state.parameters():
+        predictor = identity_readout(state)
+        filter_pullback(predictor, x, rng.standard_normal((8, 3)))
+        filter_pullback(predictor, x, np.zeros((8, 3)))
+        for slot in filter_slots(predictor):
             np.testing.assert_array_equal(slot.grad, np.zeros_like(slot.grad))
 
     def test_accumulation_is_sum_of_single_passes(self):
@@ -228,9 +247,11 @@ class TestZeroGradients:
         x1, x2 = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
         g1, g2 = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
 
+        predictor = identity_readout(state)
+
         def grads_after(x, g):
-            filter_pullback(state, x, g)
-            return [slot.grad.copy() for slot in state.parameters()]
+            filter_pullback(predictor, x, g)
+            return [slot.grad.copy() for slot in filter_slots(predictor)]
 
         combined = grads_after(np.stack([x1, x2]), np.stack([g1, g2]))
         first = grads_after(x1, g1)
@@ -271,7 +292,7 @@ def test_pointwise_linear_backward_matches_differences():
     def loss():
         return float(np.sum(w * layer.forward(x)))
 
-    grad_x = filter_pullback(state, x, w)
+    grad_x = filter_pullback(identity_readout(state), x, w)
     assert max_relative_error(layer.g_weight, central_difference(loss, layer.weight)) < 1e-4
     assert max_relative_error(layer.g_bias, central_difference(loss, layer.bias)) < 1e-4
     assert max_relative_error(grad_x, central_difference(loss, x)) < 1e-4

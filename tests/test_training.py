@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqfilter.data_io import SyntheticConfig, fit_normalization, generate_synthetic
-from freqfilter.filters import SpectralKernel
+from freqfilter.data_io import NormStats, SyntheticConfig, fit_normalization, generate_synthetic
 from freqfilter.predictors import CopyLastStepPredictor, FilterPredictorState, rolling_evaluate
 from freqfilter.tensor import TimeSeriesTensor, slice_window
 from freqfilter.training import (
@@ -164,9 +163,9 @@ class TestAdamStep:
 
     def test_pinned_imaginary_bins_survive_many_steps(self):
         rng = np.random.default_rng(3)
-        kernel = SpectralKernel(8, 2)
-        slots = kernel.parameters("k")
-        opt = Adam(slots, lr=0.05)
+        state = FilterPredictorState.initialize(8, 2, 1, 2)
+        kernel = state.filter.kernel
+        opt = Adam(state, lr=0.05)
         for _ in range(100):
             kernel.g_re[...] = rng.standard_normal(kernel.g_re.shape)
             kernel.g_im[...] = rng.standard_normal(kernel.g_im.shape)
@@ -175,15 +174,103 @@ class TestAdamStep:
         np.testing.assert_array_equal(kernel.k_im[rows], np.zeros((len(rows), 2)))
 
 
+def state_with_one_bad_gradient():
+    state = FilterPredictorState.initialize(8, 2, 1, 2)
+    state.grads[...] = 1.0
+    state.filter.kernel.g_im[1, 0] = np.inf
+    return state
+
+
 def test_sgd_names_the_slot_with_a_non_finite_gradient():
-    kernel = SpectralKernel(8, 2)
-    kernel.g_re[...] = 1.0
-    kernel.g_im[1, 0] = np.inf
-    before = kernel.k_re.copy()
-    with pytest.raises(FloatingPointError, match=r"^non-finite gradient in k\.im$"):
-        SGD(kernel.parameters("k"), lr=0.1).step()
-    np.testing.assert_array_equal(kernel.k_im, np.zeros_like(kernel.k_im))  # the bad slot is left as it was
-    assert not np.array_equal(kernel.k_re, before)  # the slot before it had already stepped
+    state = state_with_one_bad_gradient()
+    before = state.params.copy()
+    with pytest.raises(FloatingPointError, match=r"^non-finite gradient in filter\.kernel\.im$"):
+        SGD(state, lr=0.1).step()
+    np.testing.assert_array_equal(state.params, before)  # nothing moved, not even the slots before the bad one
+
+
+def test_adam_names_the_slot_with_a_non_finite_gradient():
+    state = state_with_one_bad_gradient()
+    before = state.params.copy()
+    opt = Adam(state, lr=0.1)
+    with pytest.raises(FloatingPointError, match=r"^non-finite gradient in filter\.kernel\.im$"):
+        opt.step()
+    np.testing.assert_array_equal(state.params, before)
+    assert opt.step_count == 0
+    assert not opt.m.any() and not opt.v.any()
+
+
+class PerSlotAdam:
+    """Adam as one update per parameter slot, each with its own moments: the reference for the buffer update."""
+
+    def __init__(self, slots, lr):
+        self.slots = slots
+        self.lr = lr
+        self.step_count = 0
+        self.m = [np.zeros_like(s.value) for s in slots]
+        self.v = [np.zeros_like(s.value) for s in slots]
+
+    def step(self):
+        self.step_count += 1
+        for slot, m, v in zip(self.slots, self.m, self.v):
+            adam_step(slot.value, slot.grad, m, v, self.step_count, self.lr)
+            slot.apply_pins()
+
+
+class PerSlotSGD:
+    """Gradient descent slot by slot: the reference for the buffer update."""
+
+    def __init__(self, slots, lr):
+        self.slots = slots
+        self.lr = lr
+
+    def step(self):
+        for slot in self.slots:
+            slot.value -= self.lr * slot.grad
+            slot.apply_pins()
+
+
+@pytest.mark.parametrize(
+    "buffered, per_slot, lr", [(Adam, PerSlotAdam, 0.01), (SGD, PerSlotSGD, 0.05)], ids=["adam", "sgd"]
+)
+def test_buffer_optimizer_matches_the_per_slot_loop_bitwise(buffered, per_slot, lr):
+    mine = FilterPredictorState.initialize(8, 3, 2, 3, seed=4)
+    reference = FilterPredictorState.initialize(8, 3, 2, 3, seed=4)
+    opt, ref_opt = buffered(mine, lr), per_slot(reference.parameters(), lr)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        grads = rng.standard_normal(mine.grads.shape)  # nonzero at the pinned entries too
+        mine.grads[...] = grads
+        reference.grads[...] = grads
+        opt.step()
+        ref_opt.step()
+    for got, want in zip(mine.parameters(), reference.parameters()):
+        np.testing.assert_array_equal(got.value, want.value, err_msg=got.name)
+        np.testing.assert_array_equal(got.grad, want.grad, err_msg=got.name)
+    assert mine.pin_mask.any() and not mine.params[mine.pin_mask].any()
+
+
+def test_parameter_slots_are_views_into_the_buffer():
+    norm = NormStats(np.array([50.0, 20.0]), np.array([10.0, 4.0]))
+    state = FilterPredictorState.initialize(6, 2, 2, 3, norm, seed=1)
+    slots = state.parameters()
+    assert [s.name for s in slots] == [
+        "filter.lift.weight", "filter.lift.bias", "filter.kernel.re", "filter.kernel.im", "readout.weight", "readout.bias"
+    ]
+    assert sum(s.value.size for s in slots) == state.params.size == state.grads.size == state.pin_mask.size
+    kernel_start = slots[0].value.size + slots[1].value.size
+    before = state.fold().weight.copy()
+    slots[2].value[1, 0] = 0.5
+    assert state.params[kernel_start + state.width] == 0.5
+    assert state.filter.kernel.k_re[1, 0] == 0.5
+    assert not np.array_equal(state.fold().weight, before)
+    im_start = kernel_start + slots[2].value.size
+    pinned = [im_start + row * state.width + c for row in (0, 3) for c in range(state.width)]
+    np.testing.assert_array_equal(np.flatnonzero(state.pin_mask), pinned)
+    slots[3].value[0, 1] = 2.0
+    slots[3].grad[0, 1] = 1.0
+    slots[3].apply_pins()
+    assert state.params[im_start + 1] == 0.0 and state.grads[im_start + 1] == 0.0
 
 
 def prepared_state(series, h=12, t=12, width=4, seed=0):
@@ -240,12 +327,14 @@ class TestTrain:
 
     def test_divergence_aborts_with_epoch_and_batch(self):
         series = generate_synthetic(SyntheticConfig(n_nodes=2, n_days=2, rng_seed=8))
-        state, ds = prepared_state(series)
-        cfg = TrainConfig(learning_rate=1e150, epochs=5, batch_size=64, seed=8)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            TrainingDivergedError, match=r"epoch \d+, batch \d+"
-        ):
-            train(state, ds, cfg)
+        # 1e200 and 1e300 overflow while folding the parameters a step left, before any loss is formed.
+        for lr in (1e150, 1e200, 1e300):
+            state, ds = prepared_state(series)
+            cfg = TrainConfig(learning_rate=lr, epochs=5, batch_size=64, seed=8)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingDivergedError, match=r"epoch \d+, batch \d+"
+            ):
+                train(state, ds, cfg)
 
     def test_determinism_same_seed_bitwise(self):
         def run():
@@ -277,6 +366,9 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0).validate()
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=lr).validate()
         with pytest.raises(ValueError):
             TrainConfig(epochs=0).validate()
         with pytest.raises(ValueError):
