@@ -67,9 +67,13 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        seeds = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integer seeds, got {text!r}") from None
+    repeated = [seed for i, seed in enumerate(seeds) if seed in seeds[:i]]
+    if repeated:  # each seed writes <checkpoint>.seed<n>; a repeat would overwrite its first run
+        raise argparse.ArgumentTypeError(f"seed {repeated[0]} is repeated in {text!r}")
+    return seeds
 
 
 class _StoreGiven(argparse.Action):

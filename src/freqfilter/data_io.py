@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import FilterModuleState, PointwiseLinear, SpectralKernel
 from .spectral import half_length
 from .tensor import TimeSeriesTensor
 
@@ -108,11 +107,11 @@ def _parse_block(rows: list[list[str]], header: list[str], first_row: int) -> tu
     return _parse_rows(rows, header, first_row)
 
 
-def load_csv(path, interval_seconds: int | None = None) -> TimeSeriesTensor:
+def load_csv(path) -> TimeSeriesTensor:
     """Read a wide CSV into an (n_nodes, n_steps, 1) tensor.
 
     ISO timestamps fix the interval from their spacing; integer-index
-    timestamps default to 300 s (override with interval_seconds).
+    timestamps (and a single ISO row) get the 300 s default.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -157,14 +156,12 @@ def load_csv(path, interval_seconds: int | None = None) -> TimeSeriesTensor:
         if np.any(deltas != deltas[0]):
             bad = int(np.argmax(deltas != deltas[0])) + 3
             raise CsvFormatError(f"row {bad}: timestamps must be equally spaced")
-    if interval_seconds is None:
-        if kinds == {"iso"} and len(times) > 1:
-            spacing = times[1] - times[0]
-            if spacing != int(spacing):
-                raise CsvFormatError(f"{path}: timestamp spacing {spacing:g} s is not a whole number of seconds")
-            interval_seconds = int(spacing)
-        else:
-            interval_seconds = DEFAULT_INTERVAL_SECONDS
+    interval_seconds = DEFAULT_INTERVAL_SECONDS
+    if kinds == {"iso"} and len(times) > 1:
+        spacing = times[1] - times[0]
+        if spacing != int(spacing):
+            raise CsvFormatError(f"{path}: timestamp spacing {spacing:g} s is not a whole number of seconds")
+        interval_seconds = int(spacing)
 
     values = np.concatenate(blocks).T[:, :, None]
     return TimeSeriesTensor(values=values, node_ids=tuple(node_ids), interval_seconds=interval_seconds)
@@ -327,8 +324,8 @@ def fit_normalization(series: TimeSeriesTensor, train_range: tuple[int, int]) ->
 
 
 # Checkpoint format v1: magic, version, shape header, optional norm stats,
-# then parameter payloads as little-endian float64 in a fixed order
-# (lift weight, lift bias, kernel re, kernel im, readout weight, readout bias).
+# then the parameter payloads as little-endian float64, in the order and
+# shapes of predictors.parameter_layout.
 
 CHECKPOINT_MAGIC = b"FQFCHKPT"
 CHECKPOINT_VERSION = 1
@@ -391,7 +388,7 @@ class _Cursor:
 
 def load_checkpoint(path):
     """Read a checkpoint back into a FilterPredictorState, validating every shape."""
-    from .predictors import FilterPredictorState
+    from .predictors import FilterPredictorState, parameter_layout
 
     data = Path(path).read_bytes()
     cur = _Cursor(data)
@@ -414,32 +411,22 @@ def load_checkpoint(path):
     (has_norm,) = struct.unpack("<B", cur.take(1, "normalization flag"))
 
     norm_slots = (("normalization mean", (features,)), ("normalization std", (features,))) if has_norm else ()
-    slots = norm_slots + (
-        ("lift weight", (features, width)),
-        ("lift bias", (width,)),
-        ("kernel real plane", (n_half, width)),
-        ("kernel imaginary plane", (n_half, width)),
-        ("readout weight", (history * width, horizon * features)),
-        ("readout bias", (horizon * features,)),
-    )
+    slots = norm_slots + parameter_layout(history, horizon, features, width)
     arrays = [cur.take_array(shape, what) for what, shape in slots]
     if cur.pos != len(data):
         raise CheckpointError(f"{len(data) - cur.pos} trailing bytes after the last parameter payload")
     for (what, _), arr in zip(slots, arrays):
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{what} contains NaN or Inf entries")
-    *norm_arrays, lift_w, lift_b, k_re, k_im, readout_w, readout_b = arrays
     norm = None
-    if norm_arrays:
-        mean, std = norm_arrays
+    if has_norm:
+        mean, std = arrays[:2]
         if np.any(std <= 0):
             raise CheckpointError("normalization std has non-positive entries")
         norm = NormStats(mean, std)
 
-    kernel = SpectralKernel(history, width)
-    module = FilterModuleState(PointwiseLinear(lift_w, lift_b), kernel)
-    state = FilterPredictorState(module, PointwiseLinear(readout_w, readout_b), norm, horizon)
-    kernel.k_re[...], kernel.k_im[...] = k_re, k_im
+    state = FilterPredictorState(history, horizon, features, width, norm)
+    state.params[...] = np.concatenate([arr.ravel() for arr in arrays[len(norm_slots) :]])
     if np.any(state.params[state.pin_mask]):
-        raise CheckpointError("kernel imaginary plane is nonzero at a pinned boundary bin")
+        raise CheckpointError("filter.kernel.im is nonzero at a pinned boundary bin")
     return state

@@ -7,27 +7,27 @@ with parameters shared across nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .filters import (
-    FilterModuleState,
-    PointwiseLinear,
     _as_batched_window,
     blend_with_original,
     filter_forward,
     moving_average,
 )
 from .metrics import MetricsReport, error_sums, reports_from_sums
-from .spectral import half_bin_multiplicity, irfft, rfft
+from .spectral import half_bin_multiplicity, half_length, irfft, rfft
 from .tensor import TimeSeriesTensor
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data_io import NormStats
 
 DEFAULT_SMOOTHING_WINDOW = 5
+EXTRA_COLUMN_STD = 0.05  # std of the random lift columns past the identity embedding
 
 # Windows (anchor, node pairs) per block of an evaluation pass, which bounds each per-block
 # temporary to WINDOW_BLOCK * (history + horizon) * features values. Larger blocks timed no
@@ -133,66 +133,64 @@ class AffineForecaster:
         return out[0] if single else out
 
 
+def parameter_layout(history: int, horizon: int, features: int, width: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The predictor's six parameter arrays as (slot name, shape) pairs, in buffer and checkpoint order."""
+    n_half = half_length(history)
+    return (
+        ("filter.lift.weight", (features, width)),
+        ("filter.lift.bias", (width,)),
+        ("filter.kernel.re", (n_half, width)),
+        ("filter.kernel.im", (n_half, width)),
+        ("readout.weight", (history * width, horizon * features)),
+        ("readout.bias", (horizon * features,)),
+    )
+
+
 class FilterPredictorState:
     """normalize -> lift+spectral filter -> linear readout over the flattened window -> denormalize.
 
-    The readout maps the (history * width) filtered window to the full
-    (horizon * features) forecast block in one linear step. Freshly
-    initialized, the readout copies the last time step and the kernel is the
-    identity filter, so an untrained predictor reproduces copy_last_step;
-    training can only improve on that anchor.
+    The lift maps each time step's features to width channels; the kernel
+    multiplies each channel's half spectrum by one complex coefficient per bin
+    (k_re + 1j * k_im); the readout maps the (history * width) filtered window
+    to the full (horizon * features) forecast block in one linear step.
+    Freshly initialized, the readout copies the last time step and the kernel
+    is the identity filter, so an untrained predictor reproduces
+    copy_last_step; training can only improve on that anchor.
 
-    The parameters live in one float64 buffer `params`, in checkpoint order,
-    beside `grads` and a boolean `pin_mask` of its size. The constructor adopts
-    the layers: every layer array (lift.weight, kernel.g_im, ...) becomes a
-    view into these buffers, so a layer belongs to one predictor at a time.
+    The parameters live in one float64 buffer `params`, laid out by
+    parameter_layout, beside `grads` and a boolean `pin_mask` of its
+    size. lift_weight, lift_bias, k_re, k_im, readout_weight and readout_bias
+    are views into `params`. The pinned entries are the imaginary parts at
+    bin 0 and at the Nyquist bin (even histories): those frequencies must stay
+    real for the filtered spectrum to invert to a real sequence.
     """
 
-    def __init__(
-        self,
-        filter_module: FilterModuleState,
-        readout: PointwiseLinear,
-        norm: "NormStats | None",
-        horizon: int,
-    ):
-        history = filter_module.window_length
-        width = filter_module.width
-        features = filter_module.in_features
-        if readout.d_in != history * width:
-            raise ValueError(f"readout input width {readout.d_in} != history*width {history * width}")
-        if readout.d_out != horizon * features:
+    def __init__(self, history: int, horizon: int, features: int, width: int, norm: "NormStats | None"):
+        if min(history, horizon, features, width) < 1:
             raise ValueError(
-                f"readout output width {readout.d_out} != horizon*features {horizon * features}"
+                f"history, horizon, features and width must be >= 1, got {history}, {horizon}, {features}, {width}"
             )
-        self.filter = filter_module
-        self.readout = readout
-        self.norm = norm
-        self.horizon = horizon
         self.history = history
+        self.horizon = horizon
         self.features = features
         self.width = width
-        lift, kernel = filter_module.lift, filter_module.kernel
-        arrays = (
-            ("filter.lift.weight", lift, "weight", "g_weight"),
-            ("filter.lift.bias", lift, "bias", "g_bias"),
-            ("filter.kernel.re", kernel, "k_re", "g_re"),
-            ("filter.kernel.im", kernel, "k_im", "g_im"),
-            ("readout.weight", readout, "weight", "g_weight"),
-            ("readout.bias", readout, "bias", "g_bias"),
-        )
-        ends = np.cumsum([getattr(layer, value).size for _, layer, value, _ in arrays]).tolist()
-        self.params = np.empty(ends[-1])
-        self.grads = np.zeros(ends[-1])
-        self.pin_mask = np.zeros(ends[-1], dtype=bool)
+        self.norm = norm
         self._layout = []  # (slot name, slice of the buffers, shape)
-        for (name, layer, value, grad), start, stop in zip(arrays, [0] + ends, ends):
-            span, shape = slice(start, stop), getattr(layer, value).shape
-            self.params[span] = getattr(layer, value).ravel()
-            setattr(layer, value, self.params[span].reshape(shape))
-            setattr(layer, grad, self.grads[span].reshape(shape))
-            self._layout.append((name, span, shape))
-            if value == "k_im":
-                self.pin_mask[span].reshape(shape)[list(kernel.pinned_rows)] = True
+        start = 0
+        for name, shape in parameter_layout(history, horizon, features, width):
+            self._layout.append((name, slice(start, start + math.prod(shape)), shape))
+            start += math.prod(shape)
+        self.params = np.zeros(start)
+        self.grads = np.zeros(start)
+        self.pin_mask = np.zeros(start, dtype=bool)
+        (self.lift_weight, self.lift_bias, self.k_re, self.k_im,
+         self.readout_weight, self.readout_bias) = self._views(self.params)
+        pinned_rows = [0, history // 2] if history % 2 == 0 else [0]
+        self._views(self.pin_mask)[3][pinned_rows] = True  # rows of the kernel's imaginary plane
+        self._pinned = np.flatnonzero(self.pin_mask)
+
+    def _views(self, buffer: np.ndarray) -> list[np.ndarray]:
+        return [buffer[span].reshape(shape) for _, span, shape in self._layout]
 
     @classmethod
     def initialize(
@@ -204,13 +202,31 @@ class FilterPredictorState:
         norm: "NormStats | None" = None,
         seed: int = 0,
     ) -> "FilterPredictorState":
+        """Identity-style init: embed the input features, pass extra channels through zero.
+
+        The first n_features lift columns form an identity embedding; extra
+        columns (width > n_features) start at small random values so they can
+        break symmetry during training, and the readout ignores them until
+        training picks them up. The kernel is 1 + 0i at every bin.
+        """
+        if width < n_features:
+            raise ValueError(
+                f"width {width} must be >= in_features {n_features} for the identity embedding"
+            )
+        state = cls(history, horizon, n_features, width, norm)
         rng = np.random.default_rng(seed)
-        filter_module = FilterModuleState.initialize(history, n_features, width, rng=rng)
-        weight = np.zeros((history * width, horizon * n_features))
+        state.lift_weight[np.arange(n_features), np.arange(n_features)] = 1.0
+        if width > n_features:
+            state.lift_weight[:, n_features:] = rng.normal(0.0, EXTRA_COLUMN_STD, (n_features, width - n_features))
+        state.k_re[...] = 1.0
         outputs = np.arange(horizon * n_features)  # step * n_features + f reads channel f of the last step
-        weight[(history - 1) * width + outputs % n_features, outputs] = 1.0
-        readout = PointwiseLinear(weight, np.zeros(horizon * n_features))
-        return cls(filter_module, readout, norm, horizon)
+        state.readout_weight[(history - 1) * width + outputs % n_features, outputs] = 1.0
+        return state
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The kernel as one complex (n_half, width) array, built from the two parameter planes."""
+        return self.k_re + 1j * self.k_im
 
     def _require_norm(self) -> "NormStats":
         if self.norm is None:
@@ -222,8 +238,8 @@ class FilterPredictorState:
         norm = self._require_norm()
         xb, single = _as_batched_window(histories, self.history, self.features, "history")
         b = xb.shape[0]
-        filtered = filter_forward(self.filter, norm.apply(xb))
-        block = self.readout.forward(filtered.reshape(b, self.history * self.width))
+        filtered = filter_forward(self, norm.apply(xb))
+        block = filtered.reshape(b, self.history * self.width) @ self.readout_weight + self.readout_bias
         out = norm.invert(block.reshape(b, self.horizon, self.features))
         return out[0] if single else out
 
@@ -252,12 +268,11 @@ class FilterPredictorState:
         """
         norm = self._require_norm()
         h, d, f, out = self.history, self.width, self.features, self.horizon * self.features
-        lift, kernel, readout = self.filter.lift, self.filter.kernel, self.readout
         # (n_half, outputs, width): one readout column per (output, channel) pair.
-        spectrum = rfft(readout.weight.reshape(h, d, out).transpose(0, 2, 1))
-        pulled = np.conj(kernel.coefficients)[:, None, :] * spectrum
-        weight = irfft(np.einsum("kod,fd->kfo", pulled, lift.weight), h).reshape(h * f, out)
-        bias = pulled[0].real @ lift.bias + readout.bias
+        spectrum = rfft(self.readout_weight.reshape(h, d, out).transpose(0, 2, 1))
+        pulled = np.conj(self.coefficients)[:, None, :] * spectrum
+        weight = irfft(np.einsum("kod,fd->kfo", pulled, self.lift_weight), h).reshape(h * f, out)
+        bias = pulled[0].real @ self.lift_bias + self.readout_bias
         forecaster = AffineForecaster(weight, bias, norm)
 
         def pullback(histories, grad_out) -> np.ndarray:
@@ -275,19 +290,19 @@ class FilterPredictorState:
             # c = 1 or 2 full-spectrum bins per half-spectrum bin.
             g_spec = rfft(g_weight.reshape(h, f, out))
             weights = half_bin_multiplicity(h) / h
-            lift.g_weight[...] = np.einsum("k,kfo,kod->fd", weights, np.conj(g_spec), pulled).real
-            lift.g_bias[...] = g_bias @ pulled[0].real
+            g_lift_weight = np.einsum("k,kfo,kod->fd", weights, np.conj(g_spec), pulled).real
+            g_lift_bias = g_bias @ pulled[0].real
             # t: the gradient w.r.t. the pulled spectrum, without its c/n weights,
             # which the readout's transform pair cancels; the bias reads bin 0 only.
-            t = np.einsum("kfo,fd->kod", g_spec, lift.weight)
-            t[0] += h * np.outer(g_bias, lift.bias)
+            t = np.einsum("kfo,fd->kod", g_spec, self.lift_weight)
+            t[0] += h * np.outer(g_bias, self.lift_bias)
             g_kernel = np.einsum("k,kod,kod->kd", weights, np.conj(t), spectrum)
-            kernel.g_re[...] = g_kernel.real
-            kernel.g_im[...] = g_kernel.imag
-            kernel.g_im[list(kernel.pinned_rows)] = 0.0
-            g_columns = irfft(kernel.coefficients[:, None, :] * t, h)
-            readout.g_weight[...] = g_columns.transpose(0, 2, 1).reshape(h * d, out)
-            readout.g_bias[...] = g_bias
+            g_columns = irfft(self.coefficients[:, None, :] * t, h)
+            g_readout_weight = g_columns.transpose(0, 2, 1).reshape(h * d, out)
+            grads = (g_lift_weight, g_lift_bias, g_kernel.real, g_kernel.imag, g_readout_weight, g_bias)
+            for view, grad in zip(self._views(self.grads), grads):
+                view[...] = grad
+            self.grads[self._pinned] = 0.0
             g_x = (g_block @ weight.T).reshape(b, h, f) / norm.std
             return g_x[0] if single else g_x
 
@@ -298,13 +313,14 @@ class FilterPredictorState:
 
     def parameters(self) -> list[ParamSlot]:
         """The six named parameter arrays in checkpoint order, as views into params, grads and pin_mask."""
-        buffers = (self.params, self.grads, self.pin_mask)
-        return [ParamSlot(name, *(b[span].reshape(shape) for b in buffers)) for name, span, shape in self._layout]
+        names = [name for name, _, _ in self._layout]
+        views = (self._views(self.params), self._views(self.grads), self._views(self.pin_mask))
+        return [ParamSlot(*slot) for slot in zip(names, *views)]
 
     def apply_pins(self) -> None:
         """Zero the pinned entries of the parameters and of their gradients."""
-        self.params[self.pin_mask] = 0.0
-        self.grads[self.pin_mask] = 0.0
+        self.params[self._pinned] = 0.0
+        self.grads[self._pinned] = 0.0
 
 
 @dataclass(frozen=True)

@@ -453,8 +453,9 @@ def _config(tmp_path, *lines):
         (["--split", "0.5,0.5"], "argument --split: expected three comma-separated ratios, got '0.5,0.5'"),
         (["--split", "a,b,c"], "argument --split: expected three comma-separated ratios, got 'a,b,c'"),
         (["--seeds", "1,x"], "argument --seeds: expected comma-separated integer seeds, got '1,x'"),
+        (["--seeds", "1,2,01"], "argument --seeds: seed 1 is repeated in '1,2,01'"),
     ],
-    ids=["split-count", "split-text", "seeds"],
+    ids=["split-count", "split-text", "seeds", "seeds-repeated"],
 )
 def test_bad_flag_values_name_the_expected_form(tmp_path, small_csv, capsys, argv, message):
     base = ["train", "--data", str(small_csv), "--checkpoint", str(tmp_path / "m.ckpt")]

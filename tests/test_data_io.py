@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -36,6 +37,8 @@ from freqfilter.data_io import (
 from freqfilter.predictors import FilterPredictorState
 from freqfilter.tensor import TimeSeriesTensor
 
+DATA = Path(__file__).parent / "data"
+
 
 class TestLoadCsv:
     def test_well_formed_file(self, tmp_path):
@@ -58,6 +61,8 @@ class TestLoadCsv:
         t = load_csv(path)
         assert t.interval_seconds == 300
         assert t.values.shape == (1, 3, 1)
+        with pytest.raises(TypeError):  # no override: the stamps' spacing is the interval
+            load_csv(path, interval_seconds=60)
 
     def test_naive_iso_stamps_ignore_host_timezone(self, tmp_path):
         # 5-minute stamps across the 2024-03-10 US daylight-saving change; read
@@ -492,6 +497,22 @@ def trained_like_state(seed=0):
 
 
 class TestCheckpoints:
+    def test_checkpoint_written_by_an_earlier_build_loads_and_resaves_identically(self, tmp_path):
+        # checkpoint_v1.ckpt was written by the build that kept the filter's
+        # layers as separate classes: history 6, horizon 3, 2 features, width 2,
+        # every parameter perturbed from the identity init. Its forecasts for
+        # three fixed histories were saved beside it.
+        path = DATA / "checkpoint_v1.ckpt"
+        state = load_checkpoint(path)
+        assert (state.history, state.horizon, state.features, state.width) == (6, 3, 2, 2)
+        with np.load(DATA / "checkpoint_v1_forecasts.npz") as expected:
+            histories, forecasts = expected["histories"], expected["forecasts"]
+        np.testing.assert_allclose(state.predict(histories), forecasts, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.forward(histories), forecasts, rtol=0, atol=1e-12)
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(state, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
+
     def test_round_trip_predictions_bit_identical(self, tmp_path):
         state = trained_like_state()
         path = tmp_path / "model.ckpt"
@@ -551,13 +572,18 @@ class TestCheckpoints:
         with pytest.raises((CheckpointShapeError, CheckpointTruncatedError)):
             load_checkpoint(broken)
 
-    def test_huge_header_dimensions_report_truncation(self, tmp_path):
+    def test_huge_header_dimensions_report_truncation(self, tmp_path, monkeypatch):
         # features * width = (2**32 - 1)**2 overflows int64; counted as such it
         # would make the reader step backwards instead of reporting truncation.
+        # The sizes are checked against the file before any state is built.
+        def no_state(*args):
+            raise AssertionError("load_checkpoint built a state for a truncated file")
+
+        monkeypatch.setattr(FilterPredictorState, "__init__", no_state)
         header = struct.pack("<I5IB", CHECKPOINT_VERSION, 12, 12, 2**32 - 1, 2**32 - 1, 7, 0)
         path = tmp_path / "huge.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + header + b"\x00" * 64)
-        with pytest.raises(CheckpointTruncatedError, match="lift weight"):
+        with pytest.raises(CheckpointTruncatedError, match=r"^checkpoint truncated while reading filter\.lift\.weight: "):
             load_checkpoint(path)
 
     def test_history_mismatch_surfaces_at_prediction(self, tmp_path):
@@ -570,7 +596,7 @@ class TestCheckpoints:
 
     def test_pinned_bin_violation_rejected(self, tmp_path):
         state = trained_like_state()
-        state.filter.kernel.k_im[0, 0] = 0.7  # corrupt the pinned bin
+        state.k_im[0, 0] = 0.7  # corrupt the pinned bin
         path = tmp_path / "pinned.ckpt"
         save_checkpoint(state, path)
         with pytest.raises(CheckpointError, match="pinned"):
@@ -592,29 +618,25 @@ class TestCheckpoints:
     )
     def test_non_finite_kernel_rejected(self, tmp_path, plane):
         state = trained_like_state()
-        arrays = {
-            "k_re": state.filter.kernel.k_re,
-            "k_im": state.filter.kernel.k_im,
-            "lift_weight": state.filter.lift.weight,
-            "lift_bias": state.filter.lift.bias,
-            "readout_weight": state.readout.weight,
-            "readout_bias": state.readout.bias,
-            "norm_mean": state.norm.mean,
-            "norm_std": state.norm.std,
-            "norm_std_zero": state.norm.std,
+        arrays = {  # the array and the name the error gives it
+            "k_re": (state.k_re, "filter.kernel.re"),
+            "k_im": (state.k_im, "filter.kernel.im"),
+            "lift_weight": (state.lift_weight, "filter.lift.weight"),
+            "lift_bias": (state.lift_bias, "filter.lift.bias"),
+            "readout_weight": (state.readout_weight, "readout.weight"),
+            "readout_bias": (state.readout_bias, "readout.bias"),
+            "norm_mean": (state.norm.mean, "normalization mean"),
+            "norm_std": (state.norm.std, "normalization std"),
+            "norm_std_zero": (state.norm.std, "normalization std"),
         }
-        bad = arrays[plane]
+        bad, named = arrays[plane]
         if plane == "norm_std_zero":
             bad.flat[bad.size // 2] = 0.0
         else:
             bad.flat[bad.size // 2] = np.inf if plane.endswith(("bias", "std")) else np.nan
         path = tmp_path / "nan.ckpt"
         save_checkpoint(state, path)
-        if plane.startswith("norm_"):
-            named = "normalization " + plane.split("_")[1]
-        else:
-            named = "kernel" if plane.startswith("k_") else plane.replace("_", " ")
-        with pytest.raises(CheckpointError, match=named):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(named)} "):
             load_checkpoint(path)
 
     def test_checkpoint_without_norm_stats(self, tmp_path):

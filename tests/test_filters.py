@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from freqfilter.data_io import NormStats
-from freqfilter.filters import (
-    FilterModuleState,
-    PointwiseLinear,
-    SpectralKernel,
-    blend_with_original,
-    filter_forward,
-    moving_average,
-)
+from freqfilter.filters import blend_with_original, filter_forward, moving_average
 from freqfilter.predictors import FilterPredictorState
 from freqfilter.spectral import circular_convolve, irfft
 
@@ -72,22 +65,24 @@ class TestBlend:
         assert np.max(np.abs(blended - 10.0)) < np.max(np.abs(x - 10.0))
 
 
-def identity_module(n, d):
-    return FilterModuleState.initialize(n, d, d)
+def filter_module(n, features, width):
+    """A predictor with an identity lift, an all-ones kernel, an identity readout and normalization (0, 1).
 
-
-def identity_readout(state):
-    """The module wrapped in a predictor whose readout is the identity and whose normalization is (0, 1).
-
-    The predictor's forecasts are the filtered window reshaped to (horizon,
-    features), so its pullback is the module's. It adopts the module: its
-    first four slots are the filter's parameters.
+    Its forecasts are the filtered window reshaped to (horizon, features),
+    so its pullback is the filter module's, and filter_forward(state, x)
+    evaluates the module directly.
     """
-    h, d, f = state.window_length, state.width, state.in_features
-    assert (h * d) % f == 0, "the identity readout needs history * width divisible by features"
-    readout = PointwiseLinear(np.eye(h * d), np.zeros(h * d))
-    norm = NormStats(np.zeros(f), np.ones(f))
-    return FilterPredictorState(state, readout, norm, horizon=h * d // f)
+    assert (n * width) % features == 0, "the identity readout needs history * width divisible by features"
+    norm = NormStats(np.zeros(features), np.ones(features))
+    state = FilterPredictorState(n, n * width // features, features, width, norm)
+    state.lift_weight[...] = np.eye(features, width)
+    state.k_re[...] = 1.0
+    state.readout_weight[...] = np.eye(n * width)
+    return state
+
+
+def identity_module(n, d):
+    return filter_module(n, d, d)
 
 
 def filter_slots(predictor):
@@ -96,7 +91,7 @@ def filter_slots(predictor):
 
 def pin_kernel(state):
     """Zero the kernel's pinned imaginary bins through the slot that carries the pin mask."""
-    (im,) = [slot for slot in identity_readout(state).parameters() if slot.name == "filter.kernel.im"]
+    (im,) = [slot for slot in state.parameters() if slot.name == "filter.kernel.im"]
     im.apply_pins()
 
 
@@ -110,7 +105,7 @@ class TestFilterForward:
     def test_zero_kernel_annihilates(self):
         rng = np.random.default_rng(4)
         state = identity_module(8, 2)
-        state.kernel.k_re[...] = 0.0
+        state.k_re[...] = 0.0
         x = rng.standard_normal((8, 2))
         np.testing.assert_allclose(filter_forward(state, x), np.zeros((8, 2)), atol=1e-12)
 
@@ -118,13 +113,13 @@ class TestFilterForward:
         rng = np.random.default_rng(5)
         n, d = 8, 3
         state = identity_module(n, d)
-        state.kernel.k_re[...] = rng.standard_normal(state.kernel.k_re.shape)
-        state.kernel.k_im[...] = rng.standard_normal(state.kernel.k_im.shape)
+        state.k_re[...] = rng.standard_normal(state.k_re.shape)
+        state.k_im[...] = rng.standard_normal(state.k_im.shape)
         pin_kernel(state)
         x = rng.standard_normal((n, d))
         y = filter_forward(state, x)
         for c in range(d):
-            time_kernel = irfft(state.kernel.coefficients[:, c], n)
+            time_kernel = irfft(state.coefficients[:, c], n)
             expected = circular_convolve(x[:, c], time_kernel)
             np.testing.assert_allclose(y[:, c], expected, atol=1e-8)
 
@@ -137,8 +132,8 @@ class TestFilterForward:
         rng = np.random.default_rng(6)
         for n in (2, 7, 12):
             state = identity_module(n, 2)
-            state.kernel.k_re[...] = rng.standard_normal(state.kernel.k_re.shape)
-            state.kernel.k_im[...] = rng.standard_normal(state.kernel.k_im.shape)
+            state.k_re[...] = rng.standard_normal(state.k_re.shape)
+            state.k_im[...] = rng.standard_normal(state.k_im.shape)
             pin_kernel(state)
             y = filter_forward(state, rng.standard_normal((n, 2)))
             assert y.dtype == np.float64
@@ -148,27 +143,27 @@ class TestFilterForward:
     def test_convolution_equivalence_across_window_lengths(self, n):
         rng = np.random.default_rng(n + 300)
         state = identity_module(n, 1)
-        state.kernel.k_re[...] = rng.standard_normal(state.kernel.k_re.shape)
-        state.kernel.k_im[...] = rng.standard_normal(state.kernel.k_im.shape)
+        state.k_re[...] = rng.standard_normal(state.k_re.shape)
+        state.k_im[...] = rng.standard_normal(state.k_im.shape)
         pin_kernel(state)
         x = rng.standard_normal((n, 1))
         y = filter_forward(state, x)
-        time_kernel = irfft(state.kernel.coefficients[:, 0], n)
+        time_kernel = irfft(state.coefficients[:, 0], n)
         np.testing.assert_allclose(y[:, 0], circular_convolve(x[:, 0], time_kernel), atol=1e-8)
 
 
 def random_module(rng, n=8, features=2, width=3):
-    state = FilterModuleState.initialize(n, features, width, rng=rng)
-    state.lift.weight[...] = rng.normal(0, 0.8, state.lift.weight.shape)
-    state.lift.bias[...] = rng.normal(0, 0.3, state.lift.bias.shape)
-    state.kernel.k_re[...] = rng.normal(0, 0.8, state.kernel.k_re.shape)
-    state.kernel.k_im[...] = rng.normal(0, 0.8, state.kernel.k_im.shape)
+    state = filter_module(n, features, width)
+    state.lift_weight[...] = rng.normal(0, 0.8, state.lift_weight.shape)
+    state.lift_bias[...] = rng.normal(0, 0.3, state.lift_bias.shape)
+    state.k_re[...] = rng.normal(0, 0.8, state.k_re.shape)
+    state.k_im[...] = rng.normal(0, 0.8, state.k_im.shape)
     pin_kernel(state)
     return state
 
 
 def filter_pullback(predictor, x, grad):
-    """Gradients of sum(grad * filter_forward(module, x)) for predictor = identity_readout(module).
+    """Gradients of sum(grad * filter_forward(predictor, x)) for a predictor built by filter_module.
 
     Writes the filter's gradients into filter_slots(predictor) and returns the input gradient.
     """
@@ -182,10 +177,9 @@ class TestFilterBackward:
         rng = np.random.default_rng(7)
         state = random_module(rng)
         x = rng.standard_normal((8, 2))
-        predictor = identity_readout(state)
-        grad_x = filter_pullback(predictor, x, np.zeros((8, 3)))
+        grad_x = filter_pullback(state, x, np.zeros((8, 3)))
         np.testing.assert_array_equal(grad_x, np.zeros((8, 2)))
-        for slot in filter_slots(predictor):
+        for slot in filter_slots(state):
             np.testing.assert_array_equal(slot.grad, np.zeros_like(slot.grad))
 
     def test_finite_difference_check_all_parameters_and_inputs(self):
@@ -197,10 +191,9 @@ class TestFilterBackward:
         def loss():
             return float(np.sum(weights * filter_forward(state, x)))
 
-        predictor = identity_readout(state)
-        grad_x = filter_pullback(predictor, x, weights)
+        grad_x = filter_pullback(state, x, weights)
 
-        for slot in filter_slots(predictor):
+        for slot in filter_slots(state):
             numeric = central_difference(loss, slot.value, skip_mask=slot.pin_mask)
             assert max_relative_error(slot.grad, numeric) < 1e-4, slot.name
         numeric_x = central_difference(loss, x)
@@ -212,7 +205,7 @@ class TestFilterBackward:
         state = identity_module(8, 2)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((8, 2))
-        grad_x = filter_pullback(identity_readout(state), x, np.ones((8, 2)))
+        grad_x = filter_pullback(state, x, np.ones((8, 2)))
         np.testing.assert_allclose(grad_x, np.ones((8, 2)), atol=1e-9)
 
         def loss():
@@ -225,7 +218,7 @@ class TestFilterBackward:
 class TestZeroGradients:
     def test_fresh_state_has_zero_buffers(self):
         state = identity_module(6, 2)
-        for slot in filter_slots(identity_readout(state)):
+        for slot in filter_slots(state):
             np.testing.assert_array_equal(slot.grad, np.zeros_like(slot.grad))
 
     def test_zeroing_after_backward(self):
@@ -234,10 +227,9 @@ class TestZeroGradients:
         rng = np.random.default_rng(10)
         state = random_module(rng)
         x = rng.standard_normal((8, 2))
-        predictor = identity_readout(state)
-        filter_pullback(predictor, x, rng.standard_normal((8, 3)))
-        filter_pullback(predictor, x, np.zeros((8, 3)))
-        for slot in filter_slots(predictor):
+        filter_pullback(state, x, rng.standard_normal((8, 3)))
+        filter_pullback(state, x, np.zeros((8, 3)))
+        for slot in filter_slots(state):
             np.testing.assert_array_equal(slot.grad, np.zeros_like(slot.grad))
 
     def test_accumulation_is_sum_of_single_passes(self):
@@ -247,11 +239,9 @@ class TestZeroGradients:
         x1, x2 = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
         g1, g2 = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
 
-        predictor = identity_readout(state)
-
         def grads_after(x, g):
-            filter_pullback(predictor, x, g)
-            return [slot.grad.copy() for slot in filter_slots(predictor)]
+            filter_pullback(state, x, g)
+            return [slot.grad.copy() for slot in filter_slots(state)]
 
         combined = grads_after(np.stack([x1, x2]), np.stack([g1, g2]))
         first = grads_after(x1, g1)
@@ -262,15 +252,19 @@ class TestZeroGradients:
 
 class TestKernelInvariants:
     def test_pinned_rows_for_even_and_odd_windows(self):
-        even = SpectralKernel(8, 2)
-        assert even.pinned_rows == (0, 4)
-        odd = SpectralKernel(7, 2)
-        assert odd.pinned_rows == (0,)
+        for n, rows in ((8, [0, 4]), (7, [0])):
+            state = identity_module(n, 2)
+            (im,) = [slot for slot in state.parameters() if slot.name == "filter.kernel.im"]
+            np.testing.assert_array_equal(np.flatnonzero(im.pin_mask.any(axis=1)), rows)
+            assert im.pin_mask[rows].all()
+            assert state.pin_mask.sum() == im.pin_mask.sum()  # nothing outside the imaginary plane
 
     def test_identity_initialization(self):
-        k = SpectralKernel(10, 3)
-        np.testing.assert_array_equal(k.k_re, np.ones((6, 3)))
-        np.testing.assert_array_equal(k.k_im, np.zeros((6, 3)))
+        state = FilterPredictorState.initialize(10, 2, 3, 3)
+        np.testing.assert_array_equal(state.k_re, np.ones((6, 3)))
+        np.testing.assert_array_equal(state.k_im, np.zeros((6, 3)))
+        np.testing.assert_array_equal(state.lift_weight, np.eye(3))
+        np.testing.assert_array_equal(state.lift_bias, np.zeros(3))
 
     def test_batched_forward_matches_per_window(self):
         rng = np.random.default_rng(12)
@@ -281,18 +275,20 @@ class TestKernelInvariants:
             np.testing.assert_allclose(out[i], filter_forward(state, batch[i]), atol=1e-12)
 
 
-def test_pointwise_linear_backward_matches_differences():
-    # The layer as the lift of an identity-kernel module, so the module's output is layer.forward(x).
+def test_lift_backward_matches_differences():
+    # The lift of an identity-kernel module, so the module's output is the lift alone, x @ weight + bias.
     rng = np.random.default_rng(13)
-    layer = PointwiseLinear(rng.standard_normal((3, 2)), rng.standard_normal(2))
-    state = FilterModuleState(layer, SpectralKernel(6, 2))
+    state = filter_module(6, 3, 2)
+    state.lift_weight[...] = rng.standard_normal((3, 2))
+    state.lift_bias[...] = rng.standard_normal(2)
+    weight, bias = filter_slots(state)[:2]
     x = rng.standard_normal((6, 3))
     w = rng.standard_normal((6, 2))
 
     def loss():
-        return float(np.sum(w * layer.forward(x)))
+        return float(np.sum(w * (x @ state.lift_weight + state.lift_bias)))
 
-    grad_x = filter_pullback(identity_readout(state), x, w)
-    assert max_relative_error(layer.g_weight, central_difference(loss, layer.weight)) < 1e-4
-    assert max_relative_error(layer.g_bias, central_difference(loss, layer.bias)) < 1e-4
+    grad_x = filter_pullback(state, x, w)
+    assert max_relative_error(weight.grad, central_difference(loss, weight.value)) < 1e-4
+    assert max_relative_error(bias.grad, central_difference(loss, bias.value)) < 1e-4
     assert max_relative_error(grad_x, central_difference(loss, x)) < 1e-4

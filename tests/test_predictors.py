@@ -118,8 +118,8 @@ class TestFilterPredictor:
             for f in range(features):
                 expected[(history - 1) * width + f, step * features + f] = 1.0
         state = self.make_state(history, horizon, features, width)
-        np.testing.assert_array_equal(state.readout.weight, expected)
-        np.testing.assert_array_equal(state.readout.bias, np.zeros(horizon * features))
+        np.testing.assert_array_equal(state.readout_weight, expected)
+        np.testing.assert_array_equal(state.readout_bias, np.zeros(horizon * features))
 
     def test_single_window_and_batch_agree(self):
         state = self.make_state()
