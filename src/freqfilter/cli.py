@@ -31,9 +31,10 @@ from .data_io import (
     save_checkpoint,
     save_csv,
 )
-from .filters import blend_with_original, moving_average
+from .filters import smooth
 from .metrics import METRICS_CSV_HEADER, error_sums, metrics_csv_line, render_metrics_table, reports_from_sums
 from .predictors import (
+    DEFAULT_SMOOTHING_WINDOW,
     CopyLastStepPredictor,
     FilteredCopyLastStepPredictor,
     FilterPredictorState,
@@ -142,9 +143,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_filter(args: argparse.Namespace) -> int:
     series = load_csv(args.data)
-    smoothed = moving_average(series.values, args.window, time_axis=1)
-    blended = blend_with_original(series.values, smoothed)
-    out = TimeSeriesTensor(blended, series.node_ids, series.interval_seconds)
+    out = TimeSeriesTensor(smooth(series.values, args.window), series.node_ids, series.interval_seconds)
     save_csv(out, args.out)
     print(f"wrote smoothed series (window {args.window}, blended) to {args.out}")
     return 0
@@ -362,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="apply the trailing moving average + blend to a CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--window", type=int, default=DEFAULT_SMOOTHING_WINDOW)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("baseline", help="rolling evaluation of the last-value baselines")
     p.add_argument("--data", required=True)
     p.add_argument("--history", type=int, default=12)
     p.add_argument("--horizon", type=int, default=12)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--window", type=int, default=DEFAULT_SMOOTHING_WINDOW)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--split", type=_parse_ratios, default=_DEFAULT_SPLIT)
     p.add_argument("--region", choices=("test", "all"), default="test")

@@ -1,4 +1,8 @@
-"""Denoisers: a fixed trailing moving average and a trainable spectral filter.
+"""Denoisers: a fixed smoother and a trainable spectral filter.
+
+Time is axis -2 of every series and window here, features axis -1, and any
+leading axes (nodes, batch) are carried through. The fixed smoother `smooth`
+blends a causal trailing mean 50/50 with the original.
 
 The trainable module lifts each time step with a per-step linear map, moves
 every lifted channel to the frequency domain, multiplies by a learned complex
@@ -16,54 +20,52 @@ import numpy as np
 from .spectral import irfft, rfft
 
 
-def moving_average(x, window: int, time_axis: int = 0) -> np.ndarray:
-    """Causal trailing mean; the window shrinks at the start so length is preserved."""
+def check_smoothing_window(window) -> int:
+    """window as an int, after checking that it is a positive integer."""
     if int(window) != window or window < 1:
         raise ValueError(f"window must be a positive integer, got {window!r}")
-    window = int(window)
+    return int(window)
+
+
+def moving_average(x, window: int) -> np.ndarray:
+    """Causal trailing mean along axis -2; the window shrinks at the start so length is preserved."""
+    window = check_smoothing_window(window)
     x = np.asarray(x, dtype=np.float64)
-    moved = np.moveaxis(x, time_axis, 0)
-    n = moved.shape[0]
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise ValueError(f"series must have shape (..., time, features) with at least one time step, got {x.shape}")
+    n = x.shape[-2]
     w = min(window, n)
-    out = np.empty_like(moved)
-    sliding = np.lib.stride_tricks.sliding_window_view(moved, w, axis=0)
-    out[w - 1 :] = sliding.mean(axis=-1)
+    out = np.empty_like(x)
+    out[..., w - 1 :, :] = np.lib.stride_tricks.sliding_window_view(x, w, axis=-2).mean(axis=-1)
     for t in range(w - 1):
-        out[t] = moved[: t + 1].mean(axis=0)
-    return np.moveaxis(out, 0, time_axis)
+        out[..., t, :] = x[..., : t + 1, :].mean(axis=-2)
+    return out
 
 
-def blend_with_original(x, y) -> np.ndarray:
-    """Elementwise mean of a signal and its filtered version."""
+def smooth(x, window: int) -> np.ndarray:
+    """The fixed smoother: the trailing mean blended 50/50 with the original, along axis -2."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    return (x + y) / 2.0
+    return (x + moving_average(x, window)) / 2.0
 
 
-def _as_batched_window(x, window_length: int, features: int, what: str):
+def check_window_shape(x, window_length: int, features: int, what: str) -> np.ndarray:
+    """x as float64, after checking that its last two axes are one (window_length, features) window."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    batched = x[None] if single else x
-    if batched.ndim != 3 or batched.shape[1] != window_length or batched.shape[2] != features:
-        raise ValueError(
-            f"{what} must have shape ({window_length}, {features}) per window, got {x.shape}"
-        )
-    return batched, single
+    if x.shape[-2:] != (window_length, features):
+        raise ValueError(f"{what} must have shape ({window_length}, {features}) per window, got {x.shape}")
+    return x
 
 
 def filter_forward(state, x) -> np.ndarray:
     """Lift, transform, multiply by the kernel, transform back: the filter module of a FilterPredictorState.
 
-    Accepts one (history, features) window or a batch (B, history, features);
-    returns the filtered window(s) with the lifted width. With the identity
-    kernel this is a pass-through of the lifted signal.
+    Takes windows of shape (..., history, features) and returns the filtered
+    windows, (..., history, width). With the identity kernel this is a
+    pass-through of the lifted signal.
     """
-    xb, single = _as_batched_window(x, state.history, state.features, "input window")
-    lifted = xb @ state.lift_weight + state.lift_bias
+    x = check_window_shape(x, state.history, state.features, "input window")
+    lifted = x.reshape(-1, state.history, state.features) @ state.lift_weight + state.lift_bias
     # (n_half, B, width) spectra times the shared (n_half, width) kernel.
     spectrum = rfft(lifted.transpose(1, 0, 2))
     filtered = irfft(state.coefficients[:, None, :] * spectrum, state.history)
-    out = filtered.transpose(1, 0, 2)
-    return out[0] if single else out
+    return filtered.transpose(1, 0, 2).reshape(x.shape[:-1] + (state.width,))

@@ -13,12 +13,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .filters import (
-    _as_batched_window,
-    blend_with_original,
-    filter_forward,
-    moving_average,
-)
+from .filters import check_smoothing_window, check_window_shape, filter_forward, smooth
 from .metrics import MetricsReport, error_sums, reports_from_sums
 from .spectral import half_bin_multiplicity, half_length, irfft, rfft
 from .tensor import TimeSeriesTensor
@@ -46,16 +41,6 @@ def copy_last_step(history, horizon: int) -> np.ndarray:
     return np.repeat(last, horizon, axis=-2)
 
 
-def filtered_copy_last_step(history, horizon: int, window: int = DEFAULT_SMOOTHING_WINDOW) -> np.ndarray:
-    """Smooth the history (trailing mean blended 50/50 with the original) before copying."""
-    history = np.asarray(history, dtype=np.float64)
-    if history.ndim < 2 or history.shape[-2] < 1:
-        raise ValueError("history must contain at least one time step")
-    smoothed = moving_average(history, window, time_axis=-2)
-    blended = blend_with_original(history, smoothed)
-    return copy_last_step(blended, horizon)
-
-
 class CopyLastStepPredictor:
     """Naive last-value forecaster."""
 
@@ -70,19 +55,19 @@ class CopyLastStepPredictor:
 
 
 class FilteredCopyLastStepPredictor:
-    """Last-value forecaster reading from the smoothed+blended series."""
+    """Last-value forecaster reading from the smoothed series (see filters.smooth)."""
 
     def __init__(self, horizon: int, window: int = DEFAULT_SMOOTHING_WINDOW):
         self.horizon = horizon
-        self.window = window
+        self.window = check_smoothing_window(window)
 
     def predict(self, histories) -> np.ndarray:
-        return filtered_copy_last_step(histories, self.horizon, self.window)
+        # The smoothed last step reads only the trailing window, so only that tail is smoothed.
+        tail = np.asarray(histories, dtype=np.float64)[..., -self.window :, :]
+        return copy_last_step(self.transform_series(tail), self.horizon)
 
     def transform_series(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        smoothed = moving_average(values, self.window, time_axis=-2)
-        return blend_with_original(values, smoothed)
+        return smooth(values, self.window)
 
 
 @dataclass
@@ -125,12 +110,10 @@ class AffineForecaster:
         return self.bias.size // self.features
 
     def predict(self, histories) -> np.ndarray:
-        xb, single = _as_batched_window(histories, self.history, self.features, "history")
-        b = xb.shape[0]
-        flat = self.norm.apply(xb).reshape(b, self.history * self.features)
+        x = check_window_shape(histories, self.history, self.features, "history")
+        flat = self.norm.apply(x).reshape(-1, self.history * self.features)
         block = flat @ self.weight + self.bias
-        out = self.norm.invert(block.reshape(b, self.horizon, self.features))
-        return out[0] if single else out
+        return self.norm.invert(block.reshape(x.shape[:-2] + (self.horizon, self.features)))
 
 
 def parameter_layout(history: int, horizon: int, features: int, width: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -211,7 +194,7 @@ class FilterPredictorState:
         """
         if width < n_features:
             raise ValueError(
-                f"width {width} must be >= in_features {n_features} for the identity embedding"
+                f"width {width} must be >= features {n_features} for the identity embedding"
             )
         state = cls(history, horizon, n_features, width, norm)
         rng = np.random.default_rng(seed)
@@ -236,12 +219,10 @@ class FilterPredictorState:
     def forward(self, histories) -> np.ndarray:
         """Run the layers one after another: the direct evaluation that fold() is tested against."""
         norm = self._require_norm()
-        xb, single = _as_batched_window(histories, self.history, self.features, "history")
-        b = xb.shape[0]
-        filtered = filter_forward(self, norm.apply(xb))
-        block = filtered.reshape(b, self.history * self.width) @ self.readout_weight + self.readout_bias
-        out = norm.invert(block.reshape(b, self.horizon, self.features))
-        return out[0] if single else out
+        x = check_window_shape(histories, self.history, self.features, "history")
+        filtered = filter_forward(self, norm.apply(x))
+        block = filtered.reshape(-1, self.history * self.width) @ self.readout_weight + self.readout_bias
+        return norm.invert(block.reshape(x.shape[:-2] + (self.horizon, self.features)))
 
     def fold(self) -> AffineForecaster:
         """The predictor as one affine map on the z-scored window; see fold_and_pullback."""
@@ -276,15 +257,14 @@ class FilterPredictorState:
         forecaster = AffineForecaster(weight, bias, norm)
 
         def pullback(histories, grad_out) -> np.ndarray:
-            xb, single = _as_batched_window(histories, h, f, "history")
-            b = xb.shape[0]
+            x = check_window_shape(histories, h, f, "history")
             g = np.asarray(grad_out, dtype=np.float64)
-            expected = (self.horizon, f) if single else (b, self.horizon, f)
+            expected = x.shape[:-2] + (self.horizon, f)
             if g.shape != expected:
                 raise ValueError(f"gradient shape {g.shape} does not match forecast shape {expected}")
-            g_block = (g * norm.std).reshape(b, out)
+            g_block = (g * norm.std).reshape(-1, out)
             g_bias = g_block.sum(axis=0)
-            g_weight = norm.apply(xb).reshape(b, h * f).T @ g_block
+            g_weight = norm.apply(x).reshape(-1, h * f).T @ g_block
             # Through weight = irfft(Q): a time-domain inner product is the
             # c/n-weighted sum over half-spectrum bins of Re(conj(A) B), with
             # c = 1 or 2 full-spectrum bins per half-spectrum bin.
@@ -303,8 +283,7 @@ class FilterPredictorState:
             for view, grad in zip(self._views(self.grads), grads):
                 view[...] = grad
             self.grads[self._pinned] = 0.0
-            g_x = (g_block @ weight.T).reshape(b, h, f) / norm.std
-            return g_x[0] if single else g_x
+            return (g_block @ weight.T).reshape(x.shape) / norm.std
 
         return forecaster, pullback
 

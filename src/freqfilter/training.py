@@ -59,20 +59,11 @@ class WindowedDataset:
     def n_nodes(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[2]
-
     def n_windows(self, split: str) -> int:
         return self.split_anchors[split].size
 
     def n_samples(self, split: str) -> int:
         return self.n_windows(split) * self.n_nodes
-
-    def sample(self, split: str, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(history (N, H, F), target (N, T, F)) for one window."""
-        _, h, t = next(iter_windows(self.values, self.split_anchors[split][[index]], self.history, self.horizon))
-        return h, t
 
     def gather(self, split: str, sample_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-node batches: sample id = window * n_nodes + node."""

@@ -10,7 +10,7 @@ from freqfilter.cli import main
 from freqfilter.data_io import NormStats, load_csv, save_checkpoint, save_csv
 from freqfilter.predictors import FilterPredictorState, iter_windows, window_anchors
 from freqfilter.tensor import TimeSeriesTensor
-from freqfilter.filters import blend_with_original, moving_average
+from freqfilter.filters import smooth
 
 
 @pytest.fixture()
@@ -35,7 +35,7 @@ def test_filter_matches_library_pipeline(tmp_path, small_csv):
     assert main(["filter", "--data", str(small_csv), "--out", str(out), "--window", "5"]) == 0
     raw = load_csv(small_csv)
     filtered = load_csv(out)
-    expected = blend_with_original(raw.values, moving_average(raw.values, 5, time_axis=1))
+    expected = smooth(raw.values, 5)
     np.testing.assert_allclose(filtered.values, expected, atol=5e-7)
 
 
@@ -404,7 +404,7 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, small_csv):
     out_cfg = tmp_path / "by_config.csv"
     assert main(["filter", "--data", str(small_csv), "--out", str(out_cfg), "--config", str(cfg)]) == 0
     raw = load_csv(small_csv)
-    expected3 = blend_with_original(raw.values, moving_average(raw.values, 3, time_axis=1))
+    expected3 = smooth(raw.values, 3)
     np.testing.assert_allclose(load_csv(out_cfg).values, expected3, atol=5e-7)
 
     out_flag = tmp_path / "by_flag.csv"
@@ -412,7 +412,7 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, small_csv):
         "filter", "--data", str(small_csv), "--out", str(out_flag),
         "--config", str(cfg), "--window", "5",
     ]) == 0
-    expected5 = blend_with_original(raw.values, moving_average(raw.values, 5, time_axis=1))
+    expected5 = smooth(raw.values, 5)
     np.testing.assert_allclose(load_csv(out_flag).values, expected5, atol=5e-7)
 
 
@@ -432,6 +432,13 @@ def test_missing_input_file_is_a_clean_error(tmp_path, capsys):
 def test_evaluate_requires_a_source(capsys):
     assert main(["evaluate"]) == 1
     assert "either --forecast" in capsys.readouterr().err
+
+
+def test_train_width_below_features_is_a_clean_error(tmp_path, small_csv, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--data", str(small_csv), "--checkpoint", str(ckpt), "--width", "0"]) == 1
+    assert capsys.readouterr().err == "error: width 0 must be >= features 1 for the identity embedding\n"
+    assert not ckpt.exists()
 
 
 @pytest.fixture()

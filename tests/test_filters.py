@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freqfilter.data_io import NormStats
-from freqfilter.filters import blend_with_original, filter_forward, moving_average
+from freqfilter.filters import filter_forward, moving_average, smooth
 from freqfilter.predictors import FilterPredictorState
 from freqfilter.spectral import circular_convolve, irfft
 
@@ -11,57 +11,63 @@ from numgrad import central_difference, max_relative_error
 
 class TestMovingAverage:
     def test_constant_sequence_unchanged(self):
-        x = np.full(9, 4.2)
+        x = np.full((9, 1), 4.2)
         for window in (1, 3, 5, 20):
             np.testing.assert_allclose(moving_average(x, window), x, atol=1e-12)
 
     def test_hand_evaluated_impulse(self):
-        x = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        expected = np.array([0.0, 0.0, 0.0, 0.25, 0.2, 0.2, 0.2])
+        x = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])[:, None]
+        expected = np.array([0.0, 0.0, 0.0, 0.25, 0.2, 0.2, 0.2])[:, None]
         np.testing.assert_allclose(moving_average(x, 5), expected, atol=1e-12)
 
     def test_window_one_is_identity(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(11)
+        x = rng.standard_normal((11, 1))
         np.testing.assert_array_equal(moving_average(x, 1), x)
 
     def test_window_zero_rejected(self):
         with pytest.raises(ValueError, match="window"):
-            moving_average(np.ones(4), 0)
+            moving_average(np.ones((4, 1)), 0)
 
     def test_output_stays_in_input_range(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            x = rng.standard_normal(rng.integers(1, 200)) * 50
+            x = rng.standard_normal((rng.integers(1, 200), 1)) * 50
             y = moving_average(x, int(rng.integers(1, 12)))
             assert y.min() >= x.min() - 1e-12
             assert y.max() <= x.max() + 1e-12
 
     def test_applies_along_requested_axis(self):
+        # Time is axis -2 whatever the leading axes: each (node, feature) column is averaged on its own.
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((3, 10, 2))
-        y = moving_average(x, 4, time_axis=1)
-        for v in range(3):
-            for f in range(2):
-                np.testing.assert_allclose(y[v, :, f], moving_average(x[v, :, f], 4), atol=1e-12)
+        x = rng.standard_normal((2, 3, 10, 2))
+        y = moving_average(x, 4)
+        for a in range(2):
+            for v in range(3):
+                for f in range(2):
+                    np.testing.assert_array_equal(y[a, v, :, f], moving_average(x[a, v, :, f, None], 4)[:, 0])
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 0, 1)])
+    def test_series_without_time_and_feature_axes_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(\.\.\., time, features\)"):
+            moving_average(np.zeros(shape), 3)
 
 
 class TestBlend:
+    """smooth, the fixed smoother: the trailing mean blended 50/50 with the original."""
+
     def test_idempotent_on_equal_inputs(self):
-        x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(blend_with_original(x, x), x)
+        x = np.full((6, 2), -2.5)  # a constant series is its own trailing mean
+        np.testing.assert_array_equal(smooth(x, 3), x)
 
     def test_arithmetic_mean(self):
-        np.testing.assert_array_equal(blend_with_original([0.0, 2.0], [2.0, 0.0]), [1.0, 1.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            blend_with_original(np.zeros(3), np.zeros(4))
+        x = np.array([0.0, 2.0, 4.0])[:, None]  # trailing means with window 2: 0, 1, 3
+        np.testing.assert_array_equal(smooth(x, 2), np.array([0.0, 1.5, 3.5])[:, None])
 
     def test_reduces_peak_deviation_on_spike(self):
-        x = np.full(20, 10.0)
+        x = np.full((20, 1), 10.0)
         x[12] = 25.0  # one-step spike on a constant level
-        blended = blend_with_original(x, moving_average(x, 5))
+        blended = smooth(x, 5)
         assert np.max(np.abs(blended - 10.0)) < np.max(np.abs(x - 10.0))
 
 

@@ -13,9 +13,9 @@ from freqfilter.predictors import (
     FilteredCopyLastStepPredictor,
     FilterPredictorState,
     copy_last_step,
-    filtered_copy_last_step,
     rolling_evaluate,
 )
+from freqfilter.filters import filter_forward, smooth
 from freqfilter.tensor import TimeSeriesTensor
 from freqfilter.training import TrainConfig, make_windows, train
 from numgrad import central_difference, max_relative_error
@@ -70,7 +70,7 @@ class TestFilteredCopyLastStep:
     def test_constant_history_matches_plain_copy(self):
         history = np.full((10, 1), 42.0)
         np.testing.assert_allclose(
-            filtered_copy_last_step(history, 3), copy_last_step(history, 3), atol=1e-12
+            FilteredCopyLastStepPredictor(3).predict(history), copy_last_step(history, 3), atol=1e-12
         )
 
     def test_matches_copy_when_only_the_tail_is_constant(self):
@@ -78,14 +78,14 @@ class TestFilteredCopyLastStep:
         history = rng.normal(0, 5, (12, 1))
         history[-5:] = 7.5  # constant over the whole filter window
         np.testing.assert_allclose(
-            filtered_copy_last_step(history, 3, window=5), copy_last_step(history, 3), atol=1e-12
+            FilteredCopyLastStepPredictor(3, window=5).predict(history), copy_last_step(history, 3), atol=1e-12
         )
 
     def test_spike_tail_pulled_toward_pre_spike_level(self):
         history = np.full((12, 1), 10.0)
         history[-1, 0] = 30.0  # spike on the final step
         plain = copy_last_step(history, 2)
-        filtered = filtered_copy_last_step(history, 2, window=5)
+        filtered = FilteredCopyLastStepPredictor(2, window=5).predict(history)
         assert np.all(np.abs(filtered - 10.0) < np.abs(plain - 10.0))
 
     def test_smoothing_beats_raw_copy_on_noisy_spiky_series(self):
@@ -96,6 +96,18 @@ class TestFilteredCopyLastStep:
         raw = rolling_evaluate(CopyLastStepPredictor(12), series, 12, 12, predecessor_mode=True)
         filt = rolling_evaluate(FilteredCopyLastStepPredictor(12, 5), series, 12, 12, predecessor_mode=True)
         assert filt.aggregate.mae < raw.aggregate.mae
+
+    @pytest.mark.parametrize("history", [1, 5, 12])
+    @pytest.mark.parametrize("window", [1, 3, 5, 12, 20])
+    def test_smoothing_the_tail_equals_smoothing_the_whole_history(self, history, window):
+        histories = np.random.default_rng(history * 100 + window).normal(50.0, 10.0, (2, 3, history, 2))
+        got = FilteredCopyLastStepPredictor(4, window).predict(histories)
+        np.testing.assert_array_equal(got, copy_last_step(smooth(histories, window), 4))
+
+    @pytest.mark.parametrize("window", [0, -1, 2.5])
+    def test_bad_window_rejected_at_construction(self, window):
+        with pytest.raises(ValueError, match=rf"^window must be a positive integer, got {window!r}$"):
+            FilteredCopyLastStepPredictor(12, window)
 
 
 class TestFilterPredictor:
@@ -142,6 +154,51 @@ class TestFilterPredictor:
         state = self.make_state()
         with pytest.raises(ValueError, match=r"\(12, 1\)"):
             state.predict(np.zeros((24, 1)))
+
+
+class TestLeadingAxes:
+    """Histories (..., history, features) in, (..., horizon, features) out: any leading axes give the
+    bits of the same windows flattened into one (B, history, features) batch."""
+
+    lead = (2, 3)
+
+    def setup_method(self):
+        self.state = perturbed_state(6, 3, 2, 3, seed=21)
+        rng = np.random.default_rng(21)
+        self.histories = rng.normal(50.0, 10.0, self.lead + (6, 2))
+        self.flat = self.histories.reshape(-1, 6, 2)
+
+    def assert_flattened_call(self, call, out_shape):
+        got = call(self.histories)
+        assert got.shape == self.lead + out_shape
+        np.testing.assert_array_equal(got, call(self.flat).reshape(got.shape))
+
+    def test_affine_forecaster_predict(self):
+        self.assert_flattened_call(self.state.fold().predict, (3, 2))
+
+    def test_state_predict(self):
+        self.assert_flattened_call(self.state.predict, (3, 2))
+
+    def test_state_forward(self):
+        self.assert_flattened_call(self.state.forward, (3, 2))
+
+    def test_filter_forward(self):
+        self.assert_flattened_call(lambda x: filter_forward(self.state, x), (6, 3))
+
+    def test_pullback(self):
+        grad_out = np.random.default_rng(22).standard_normal(self.lead + (3, 2))
+        _, pullback = self.state.fold_and_pullback()
+        grad_x = pullback(self.histories, grad_out)
+        grads = self.state.grads.copy()
+        assert grad_x.shape == self.histories.shape
+        flat_grad_x = pullback(self.flat, grad_out.reshape(-1, 3, 2))
+        np.testing.assert_array_equal(grad_x, flat_grad_x.reshape(grad_x.shape))
+        np.testing.assert_array_equal(grads, self.state.grads)
+
+    def test_pullback_gradient_shape_must_match_the_leading_axes(self):
+        _, pullback = self.state.fold_and_pullback()
+        with pytest.raises(ValueError, match=r"forecast shape \(2, 3, 3, 2\)"):
+            pullback(self.histories, np.zeros((6, 3, 2)))
 
 
 def perturbed_state(history, horizon, features, width, seed=0, scale=0.3):

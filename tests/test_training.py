@@ -84,7 +84,7 @@ class TestMakeWindows:
     def test_targets_follow_history_immediately(self):
         series = toy_series(40)
         ds = make_windows(series, 5, 4, (1.0, 0.0, 0.0))
-        hist, targ = ds.sample("train", 3)
+        hist, targ = ds.gather("train", 3 * ds.n_nodes + np.arange(ds.n_nodes))  # window 3, every node
         np.testing.assert_array_equal(hist, series.values[:, 3:8, :])
         np.testing.assert_array_equal(targ, series.values[:, 8:12, :])
 
