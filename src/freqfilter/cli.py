@@ -308,7 +308,8 @@ def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, st
         raise CsvFormatError(f"{path}:{row + 2}: column {column!r}: non-finite cell {float(table[row, col])}")
     labels, step_index = np.unique(table[:, 0].astype(np.int64), return_inverse=True)
     steps = [table[step_index == k] for k in range(labels.size)]
-    per_step, aggregate = reports_from_sums(np.hstack([error_sums(s[:, 1:2], s[:, 2:3], mape_epsilon) for s in steps]))
+    sums = [error_sums(s[:, None, 1:2], s[:, None, 2:3], mape_epsilon) for s in steps]  # (rows, 1 step, 1 feature)
+    per_step, aggregate = reports_from_sums(np.hstack(sums))
     return [(str(k), f"step {k}", r) for k, r in zip(labels, per_step)] + [("aggregate", "aggregate", aggregate)]
 
 

@@ -22,7 +22,11 @@ from .spectral import irfft, rfft
 
 def check_smoothing_window(window) -> int:
     """window as an int, after checking that it is a positive integer."""
-    if int(window) != window or window < 1:
+    try:
+        valid = int(window) == window and window >= 1
+    except (OverflowError, ValueError):  # int() of inf or NaN
+        valid = False
+    if not valid:
         raise ValueError(f"window must be a positive integer, got {window!r}")
     return int(window)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,9 +25,12 @@ class MetricsReport:
 
 
 def error_sums(pred, target, mask_epsilon: float = 1e-6) -> np.ndarray:
-    """The one place errors are computed: (5, steps) sums over every axis but axis 1, the horizon step.
+    """The one place errors are computed: (5, steps) sums over every axis but axis -2, the horizon step.
 
     Rows: sum |e|, sum e^2, sum |e/y| over |y| > mask_epsilon, that count, all entries; blocks add up.
+    A masked target adds exactly 0 to the |e/y| sum, whatever the prediction. Each quantity is laid
+    out as (rows, steps), rows in the order of the leading axes, and with two or more steps the
+    rows are added one after another in that order; a single step is summed in einsum's order.
     """
     if mask_epsilon < 0:
         raise ValueError(f"mask_epsilon must be >= 0, got {mask_epsilon}")
@@ -34,25 +38,33 @@ def error_sums(pred, target, mask_epsilon: float = 1e-6) -> np.ndarray:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    abs_err = np.abs(pred - target)
-    abs_target = np.abs(target)
+    if pred.ndim < 2:
+        raise ValueError(f"pred and target must have shape (..., steps, features), got {pred.shape}")
+    steps = pred.shape[-2]
+    # Views when there is one feature, which is what evaluation blocks have.
+    abs_err = np.abs(pred - target).swapaxes(-1, -2).reshape(-1, steps)
+    abs_target = np.abs(target).swapaxes(-1, -2).reshape(-1, steps)
     kept = abs_target > mask_epsilon
     pct = np.divide(abs_err, abs_target, out=np.zeros_like(abs_err), where=kept)
-    axes = (0, *range(2, pred.ndim))
-    sums = [x.sum(axis=axes) for x in (abs_err, np.square(abs_err), pct, kept)]
-    return np.array([*sums, np.full(pred.shape[1], pred.size // pred.shape[1])], dtype=np.float64)
+    sums = np.empty((5, steps))
+    np.einsum("ij->j", abs_err, out=sums[0])
+    np.einsum("ij,ij->j", abs_err, abs_err, out=sums[1])
+    np.einsum("ij->j", pct, out=sums[2])
+    np.einsum("ij->j", kept, out=sums[3], dtype=np.float64)
+    sums[4] = abs_err.shape[0]
+    return sums
 
 
 def reports_from_sums(sums: np.ndarray) -> tuple[tuple[MetricsReport, ...], MetricsReport]:
     """(one report per horizon step, the aggregate over all steps) from summed error_sums."""
-    return tuple(_report(*column) for column in sums.T), _report(*sums.sum(axis=1))
+    # On Python floats a report costs about half what it costs on NumPy scalars, with the same bits.
+    return tuple(_report(*column) for column in sums.T.tolist()), _report(*sums.sum(axis=1).tolist())
 
 
 def _report(abs_sum, sq_sum, pct_sum, n_evaluated, n_total) -> MetricsReport:
-    mape = float(pct_sum / n_evaluated * 100.0) if n_evaluated > 0 else None
-    return MetricsReport(
-        float(abs_sum / n_total), float(np.sqrt(sq_sum / n_total)), mape, int(n_evaluated), int(n_total - n_evaluated)
-    )
+    mape = pct_sum / n_evaluated * 100.0 if n_evaluated > 0 else None
+    mae, mse = (abs_sum / n_total, sq_sum / n_total) if n_total > 0 else (math.nan, math.nan)
+    return MetricsReport(mae, math.sqrt(mse), mape, int(n_evaluated), int(n_total - n_evaluated))
 
 
 def compute_metrics(pred, target, mask_epsilon: float = 1e-6) -> MetricsReport:
@@ -62,7 +74,7 @@ def compute_metrics(pred, target, mask_epsilon: float = 1e-6) -> MetricsReport:
     never performed), so mask_epsilon=0 reproduces the unguarded percentage
     formula on every nonzero target.
     """
-    sums = error_sums(np.expand_dims(pred, (0, 1)), np.expand_dims(target, (0, 1)), mask_epsilon)
+    sums = error_sums(np.expand_dims(pred, (-2, -1)), np.expand_dims(target, (-2, -1)), mask_epsilon)
     return reports_from_sums(sums)[1]
 
 

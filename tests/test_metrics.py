@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from freqfilter.metrics import (
     METRICS_CSV_HEADER,
     compute_metrics,
+    error_sums,
     metrics_csv_line,
     render_metrics_table,
+    reports_from_sums,
 )
+from scoring_reference import error_sums as reference_error_sums
+from scoring_reference import reports_from_sums as reference_reports_from_sums
 
 
 def test_hand_arithmetic_example():
@@ -35,6 +41,14 @@ def test_zero_target_excluded_from_mape_only():
     # MAE/RMSE still include the masked entry
     assert r.mae == pytest.approx(1.5)
     assert r.mape_percent == pytest.approx(50.0)
+
+
+def test_no_entries_give_nan_errors_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = compute_metrics(np.array([]), np.array([]))
+    assert np.isnan(r.mae) and np.isnan(r.rmse)
+    assert (r.mape_percent, r.n_evaluated, r.n_masked) == (None, 0, 0)
 
 
 def test_all_targets_masked_reports_absent_mape():
@@ -117,3 +131,60 @@ def test_table_and_csv_rendering():
     assert METRICS_CSV_HEADER.split(",") == ["horizon_step", "mae", "rmse", "mape", "n", "n_masked"]
     absent = compute_metrics(np.ones(2), np.zeros(2))
     assert ",," in metrics_csv_line("2", absent)  # empty mape field
+
+
+def scoring_block(shape, seed):
+    """Random forecasts and targets of one feature, with exact zeros, targets at 1e-6 and an infinite forecast at a zero target."""
+    rng = np.random.default_rng(seed)
+    pred = rng.normal(50.0, 20.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+    target = rng.normal(50.0, 20.0, shape)
+    pick = rng.random(shape) < 0.2
+    target[pick] = rng.choice([0.0, 1e-6, -1e-6, 1e-6 * (1 + 2**-40)], size=int(pick.sum()))
+    target.flat[0] = 0.0
+    pred.flat[0] = np.inf
+    return pred, target
+
+
+@pytest.mark.parametrize("mask_epsilon", [0.0, 1e-6])
+@pytest.mark.parametrize("shape", [(1, 2, 1), (7, 3, 1), (4140, 12, 1), (1, 1, 2, 1), (5, 3, 4, 1), (19, 207, 12, 1)])
+def test_error_sums_equals_numpy_sums_on_the_flat_block(shape, mask_epsilon):
+    pred, target = scoring_block(shape, seed=sum(shape))
+    flat = (-1, shape[-2], 1)  # (windows, steps, 1): the blocks the NumPy sums scored
+    got = error_sums(pred, target, mask_epsilon)
+    np.testing.assert_array_equal(got, reference_error_sums(pred.reshape(flat), target.reshape(flat), mask_epsilon))
+    assert got[0, 0] == np.inf and np.isfinite(got[2]).all()  # the infinite error adds 0 to the |e/y| sum
+    # A strided target view scores the bits of its copy.
+    view = np.zeros(shape[:-2] + (2 * shape[-2], 1))[..., ::2, :]
+    view[...] = target
+    np.testing.assert_array_equal(error_sums(pred, view, mask_epsilon), got)
+
+
+def test_error_sums_sums_over_every_axis_but_the_step_axis():
+    pred, target = scoring_block((30, 40, 5, 3), seed=9)
+    got = error_sums(pred, target)
+    assert got.shape == (5, 5)
+    np.testing.assert_allclose(got, reference_error_sums(pred.reshape(-1, 5, 3), target.reshape(-1, 5, 3)), rtol=1e-14)
+
+
+def test_single_step_sums_match_numpy_to_rounding():
+    pred, target = scoring_block((55_000, 1, 1), seed=1)
+    pred.flat[0] = 0.0
+    np.testing.assert_allclose(error_sums(pred, target), reference_error_sums(pred, target), rtol=1e-14)
+
+
+def test_error_sums_rejects_blocks_without_a_step_axis():
+    with pytest.raises(ValueError, match=r"^pred and target must have shape \(\.\.\., steps, features\), got \(3,\)$"):
+        error_sums(np.zeros(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 12, 13])
+def test_reports_equal_the_numpy_scalar_reports(steps):
+    rng = np.random.default_rng(steps)
+    for _ in range(200):
+        n_total = rng.integers(1, 10**7, steps).astype(float)
+        n_evaluated = np.minimum(n_total, rng.integers(0, 10**7, steps))
+        n_evaluated[0] = 0.0  # a step whose targets are all masked
+        scale = 10.0 ** rng.integers(-6, 6)
+        sums = np.array([rng.random(steps) * n_total * scale, rng.random(steps) * n_total * scale**2,
+                         rng.random(steps) * n_evaluated, n_evaluated, n_total])
+        assert reports_from_sums(sums) == reference_reports_from_sums(sums)

@@ -19,6 +19,7 @@ from freqfilter.filters import filter_forward, smooth
 from freqfilter.tensor import TimeSeriesTensor
 from freqfilter.training import TrainConfig, make_windows, train
 from numgrad import central_difference, max_relative_error
+from scoring_reference import gathered_rolling_evaluate
 
 
 def ramp_series(n_steps=60, slope=0.5, n_nodes=1):
@@ -104,10 +105,16 @@ class TestFilteredCopyLastStep:
         got = FilteredCopyLastStepPredictor(4, window).predict(histories)
         np.testing.assert_array_equal(got, copy_last_step(smooth(histories, window), 4))
 
-    @pytest.mark.parametrize("window", [0, -1, 2.5])
+    @pytest.mark.parametrize("window", [0, -1, 2.5, float("inf"), float("nan")])
     def test_bad_window_rejected_at_construction(self, window):
         with pytest.raises(ValueError, match=rf"^window must be a positive integer, got {window!r}$"):
             FilteredCopyLastStepPredictor(12, window)
+
+    @pytest.mark.parametrize("cls", [CopyLastStepPredictor, FilteredCopyLastStepPredictor])
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_bad_horizon_rejected_at_construction(self, cls, horizon):
+        with pytest.raises(ValueError, match=rf"^horizon must be >= 1, got {horizon}$"):
+            cls(horizon)
 
 
 class TestFilterPredictor:
@@ -429,12 +436,9 @@ class TestRollingEvaluate:
                 self.horizon = horizon
                 self.cursor = 0
 
-            def predict(self, histories):
-                n_nodes = series.n_nodes
-                n_windows = histories.shape[0] // n_nodes
-                idx = np.arange(n_windows)[:, None] + 8 + np.arange(self.horizon)[None, :]
-                out = self.values[:, idx, :].transpose(1, 0, 2, 3)
-                return out.reshape(histories.shape[0], self.horizon, -1)
+            def predict(self, histories):  # (anchor, node, history, F): one block holds every anchor
+                idx = np.arange(histories.shape[0])[:, None] + 8 + np.arange(self.horizon)[None, :]
+                return self.values[:, idx, :].transpose(1, 0, 2, 3)
 
         report = rolling_evaluate(Oracle(series.values, 4), series, history=8, horizon=4)
         assert report.aggregate.mae == 0.0
@@ -479,8 +483,21 @@ class TestRollingEvaluate:
             def predict(self, histories):
                 return copy_last_step(histories, 2)
 
-        with pytest.raises(ValueError, match=r"^predictor returned shape \(22, 2, 1\), expected \(22, 3, 1\)$"):
+        with pytest.raises(ValueError, match=r"^predictor returned shape \(22, 1, 2, 1\), expected \(22, 1, 3, 1\)$"):
             rolling_evaluate(OneStepShort(), ramp_series(n_steps=30), 6, 3)
+
+    def test_predecessor_series_too_short_for_the_windows_is_rejected(self):
+        class ShortTransform(CopyLastStepPredictor):
+            def transform_series(self, values):
+                return values[:, :-2]
+
+        with pytest.raises(ValueError, match=r"^22 windows of 3 steps from step 5 run past a series of 28 steps$"):
+            rolling_evaluate(ShortTransform(3), ramp_series(n_steps=30), 6, 3, predecessor_mode=True)
+
+    @pytest.mark.parametrize("anchors", [[0, 1, 3], [4, 2, 0], [3, 3]])
+    def test_windows_need_evenly_spaced_anchors(self, anchors):
+        with pytest.raises(ValueError, match="^window anchors must be increasing and evenly spaced$"):
+            next(freqfilter.predictors.iter_windows(np.zeros((2, 30, 1)), np.array(anchors), 6, 3))
 
     def test_step_minutes_follow_interval(self):
         series = ramp_series(n_steps=40)
@@ -568,6 +585,27 @@ class TestRollingEvaluate:
         assert len(folds) == 1 + 18  # 36 anchors of 3 nodes, 2 anchors per block
         assert once == per_block
 
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["copy", "filter", "copy-predecessor", "filtered-predecessor"])
+    def test_bits_of_the_gathered_loop(self, monkeypatch, stride, kind):
+        monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 7)  # 2 anchors of 3 nodes per block
+        history, horizon = 6, 4
+        rng = np.random.default_rng(stride)
+        values = rng.normal(50.0, 20.0, (3, 66, 1))
+        values[rng.random(values.shape) < 0.1] = 0.0  # masked targets
+        series = TimeSeriesTensor(values, ("a", "b", "c"))
+        predictor = {
+            "copy": CopyLastStepPredictor(horizon),
+            "filter": perturbed_state(history, horizon, 1, 3, seed=stride),
+            "filtered": FilteredCopyLastStepPredictor(horizon, window=3),
+        }[kind.split("-")[0]]
+        predecessor_mode = kind.endswith("predecessor")
+        n_anchors = freqfilter.predictors.window_anchors(66, history, horizon, stride).size
+        assert n_anchors > 2 and n_anchors % 2 == 1  # several blocks, the last one partial
+
+        got = rolling_evaluate(predictor, series, history, horizon, stride, predecessor_mode)
+        assert got == gathered_rolling_evaluate(predictor, series, history, horizon, stride, predecessor_mode)
+
     @pytest.mark.parametrize("history, horizon", [(6, 3), (3, 6), (5, 5)])
     def test_predecessor_mode_gathers_no_histories(self, monkeypatch, history, horizon):
         monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 8)
@@ -587,16 +625,9 @@ class TestRollingEvaluate:
             *freqfilter.predictors.reports_from_sums(sums), series.interval_seconds
         )
 
-        gathered = []
-        gather = freqfilter.predictors._gather
+        def no_gather(*args):
+            raise AssertionError("predecessor mode gathered windows")
 
-        def spy(values, nodes, starts, length):
-            gathered.append(starts.min())
-            return gather(values, nodes, starts, length)
-
-        monkeypatch.setattr(freqfilter.predictors, "_gather", spy)
+        monkeypatch.setattr(freqfilter.predictors, "_gather", no_gather)
         report = rolling_evaluate(predictor, series, history, horizon, predecessor_mode=True)
         assert report == previous
-        # Targets start at anchor + history and predecessors at anchor + history - 1: no gather starts at an anchor.
-        assert len(gathered) == 2 * -(-anchors.size // 2)
-        assert min(gathered) == history - 1
