@@ -225,10 +225,13 @@ class SyntheticConfig:
             )
         if not 0.0 <= self.spike_probability <= 1.0:
             raise ValueError(f"spike_probability must be in [0, 1], got {self.spike_probability}")
-        if self.gaussian_noise_std < 0:
-            raise ValueError(f"gaussian_noise_std must be >= 0, got {self.gaussian_noise_std}")
+        # NaN passes every comparison below and an infinite range overflows the uniform draws.
+        if not (math.isfinite(self.gaussian_noise_std) and self.gaussian_noise_std >= 0):
+            raise ValueError(f"gaussian_noise_std must be finite and >= 0, got {self.gaussian_noise_std}")
         for name in ("base_level_range", "daily_amplitude_range", "rush_hour_depth_range", "spike_magnitude_range"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} must be finite, got ({lo}, {hi})")
             if lo > hi:
                 raise ValueError(f"{name} is inverted: ({lo}, {hi})")
 

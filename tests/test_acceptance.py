@@ -254,6 +254,47 @@ def test_criterion_6_trained_filter_beats_copy_last_step(trained_model):
     )
 
 
+class TestCriterion6ClosedFormReference:
+    """Criterion 6 against one least-squares affine map over the raw window.
+
+    Folded, the trained predictor is one affine map, so the reference is the
+    best map of the same class under squared error, fitted in closed form on
+    the train split and scored through the same AffineForecaster.
+    """
+
+    @pytest.fixture(scope="class")
+    def maes(self, bench_series, trained_model):
+        ds = ff.make_windows(bench_series, 12, 12, (0.7, 0.1, 0.2))
+        hist, targ = ds.gather("train", np.arange(ds.n_samples("train")))
+        design = np.column_stack([hist.reshape(len(hist), -1), np.ones(len(hist))])
+        coef = np.linalg.lstsq(design, targ.reshape(len(targ), -1), rcond=None)[0]
+        reference = ff.AffineForecaster(coef[:-1], coef[-1], bench_series.n_features)
+        region = trained_model["test_region"]
+        return {
+            "reference": ff.rolling_evaluate(reference, region, 12, 12).aggregate.mae,
+            "filter": trained_model["report"].aggregate.mae,
+            "copy": ff.rolling_evaluate(ff.CopyLastStepPredictor(12), region, 12, 12).aggregate.mae,
+        }
+
+    def test_reference_beats_copy_last_step(self, maes):
+        improvement = 1.0 - maes["reference"] / maes["copy"]
+        _report(
+            "criterion 6 reference",
+            improvement >= 0.10,
+            f"lstsq affine map MAE {maes['reference']:.4f} vs CopyLastStep {maes['copy']:.4f}: "
+            f"{improvement * 100:.1f}% better (>= 10%); trained filter MAE {maes['filter']:.4f}",
+        )
+
+    def test_trained_filter_is_within_2_percent_of_the_reference(self, maes):
+        ratio = maes["filter"] / maes["reference"]
+        _report(
+            "criterion 6 reference",
+            ratio <= 1.02,
+            f"trained filter MAE {maes['filter']:.4f} / lstsq affine map MAE {maes['reference']:.4f} "
+            f"= {ratio:.3f} (<= 1.02)",
+        )
+
+
 def test_criterion_7_training_determinism(bench_series, trained_model, tmp_path):
     state, log, _, report = _train_benchmark_model(bench_series)
     blob = _checkpoint_bytes(state, tmp_path, "run2.ckpt")

@@ -7,7 +7,7 @@ import freqfilter.cli
 import freqfilter.data_io
 import freqfilter.predictors
 from freqfilter.cli import main
-from freqfilter.data_io import NormStats, load_csv, save_checkpoint, save_csv
+from freqfilter.data_io import NormStats, load_checkpoint, load_csv, save_checkpoint, save_csv
 from freqfilter.predictors import FilterPredictorState, iter_windows, window_anchors
 from freqfilter.tensor import TimeSeriesTensor
 from freqfilter.filters import smooth
@@ -150,6 +150,54 @@ def test_predict_writes_the_bytes_of_the_row_writer(tmp_path, monkeypatch, strid
     written = out.read_bytes()
     assert written == forecast_csv_by_rows(state, series, stride)
     assert b"\r" not in written
+
+
+def test_predict_reads_histories_without_a_gather(tmp_path, small_csv, small_ckpt, monkeypatch):
+    expected = forecast_csv_by_rows(load_checkpoint(small_ckpt), load_csv(small_csv), 5)
+
+    def no_gather(*args):
+        raise AssertionError("predict gathered windows")
+
+    monkeypatch.setattr(freqfilter.predictors, "_gather", no_gather)
+    out = tmp_path / "forecast.csv"
+    assert main(["predict", "--checkpoint", str(small_ckpt), "--data", str(small_csv), "--out", str(out), "--stride", "5"]) == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["baseline"],
+        ["baseline", "--rolling"],
+        ["evaluate", "--checkpoint", "{ckpt}"],
+        ["evaluate", "--forecast", "{forecast}"],
+    ],
+    ids=["baseline", "baseline-rolling", "evaluate-checkpoint", "evaluate-forecast"],
+)
+def test_nan_mape_epsilon_is_rejected(tmp_path, small_csv, small_ckpt, capsys, argv):
+    forecast = tmp_path / "forecast.csv"
+    assert main(["predict", "--checkpoint", str(small_ckpt), "--data", str(small_csv), "--out", str(forecast)]) == 0
+    argv = [arg.format(ckpt=small_ckpt, forecast=forecast) for arg in argv]
+    data = [] if "--forecast" in argv else ["--data", str(small_csv)]
+    capsys.readouterr()
+    assert main(argv + data + ["--mape-epsilon", "nan"]) == 1
+    assert capsys.readouterr().err == "error: mask_epsilon must be >= 0, got nan\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--noise-std", "nan"], "gaussian_noise_std must be finite and >= 0, got nan"),
+        (["--noise-std", "inf"], "gaussian_noise_std must be finite and >= 0, got inf"),
+        (["--spike-min", "nan"], "spike_magnitude_range must be finite, got (nan, 25.0)"),
+        (["--spike-max", "inf"], "spike_magnitude_range must be finite, got (8.0, inf)"),
+    ],
+)
+def test_generate_rejects_non_finite_settings(tmp_path, capsys, flags, message):
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--out", str(out), "--nodes", "2", "--days", "1"] + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stride", ["0", "-3"])

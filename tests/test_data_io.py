@@ -446,6 +446,21 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="inverted"):
             SyntheticConfig(base_level_range=(10.0, 5.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gaussian_noise_std", float("nan")),
+            ("gaussian_noise_std", float("inf")),
+            ("base_level_range", (float("nan"), 60.0)),
+            ("daily_amplitude_range", (6.0, float("nan"))),
+            ("rush_hour_depth_range", (float("-inf"), 18.0)),
+            ("spike_magnitude_range", (8.0, float("inf"))),
+        ],
+    )
+    def test_non_finite_settings_name_their_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SyntheticConfig(**{field: value})
+
     def test_respects_minimum_value(self):
         cfg = SyntheticConfig(
             n_nodes=2, n_days=2, gaussian_noise_std=30.0, spike_probability=0.1, rng_seed=2

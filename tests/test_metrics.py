@@ -122,6 +122,12 @@ def test_negative_epsilon_rejected():
         compute_metrics(np.zeros(2), np.ones(2), mask_epsilon=-1.0)
 
 
+def test_nan_epsilon_rejected():
+    # NaN compares false with every bound, so unchecked it would mask every target.
+    with pytest.raises(ValueError, match=r"^mask_epsilon must be >= 0, got nan$"):
+        error_sums(np.zeros((2, 1)), np.ones((2, 1)), mask_epsilon=float("nan"))
+
+
 def test_table_and_csv_rendering():
     r = compute_metrics(np.array([3.0, 5.0]), np.array([1.0, 1.0]))
     table = render_metrics_table([("step 1", r)])

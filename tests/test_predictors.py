@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freqfilter.filters
+import freqfilter.metrics
 import freqfilter.predictors
+import scoring_reference
 from freqfilter.data_io import NormStats, SyntheticConfig, fit_normalization, generate_synthetic
 from freqfilter.predictors import (
     CopyLastStepPredictor,
@@ -274,6 +276,17 @@ class TestFold:
         histories = np.random.default_rng(4).normal(50.0, 10.0, (8, history, features))
         copied = copy_last_step(histories, 5)
         assert relative_error(state.fold().predict(histories), copied) <= 1e-12
+
+    def test_folded_map_works_in_original_units_for_features_of_different_scales(self):
+        state = perturbed_state(8, 3, 2, 3, seed=8)
+        state.norm = NormStats([50.0, 0.2], [10.0, 0.05])  # std_out / std_in is 200 or 1/200 across features
+        histories = np.random.default_rng(8).normal(state.norm.mean, state.norm.std, (4, 5, 8, 2))
+        forecaster = state.fold()
+        assert not hasattr(forecaster, "norm")
+        got, want = forecaster.predict(histories), state.forward(histories)
+        assert got.shape == (4, 5, 3, 2)
+        for f in range(2):
+            assert relative_error(got[..., f], want[..., f]) <= 1e-12
 
     def test_fold_is_one_transform_pair_whatever_the_batch(self, transform_calls):
         history, horizon, features, width = 10, 3, 2, 4
@@ -585,23 +598,28 @@ class TestRollingEvaluate:
         assert len(folds) == 1 + 18  # 36 anchors of 3 nodes, 2 anchors per block
         assert once == per_block
 
+    @pytest.mark.parametrize("features", [1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["copy", "filter", "copy-predecessor", "filtered-predecessor"])
-    def test_bits_of_the_gathered_loop(self, monkeypatch, stride, kind):
+    def test_bits_of_the_gathered_loop(self, monkeypatch, stride, kind, features):
         monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 7)  # 2 anchors of 3 nodes per block
         history, horizon = 6, 4
         rng = np.random.default_rng(stride)
-        values = rng.normal(50.0, 20.0, (3, 66, 1))
+        values = rng.normal(50.0, 20.0, (3, 66, features))
         values[rng.random(values.shape) < 0.1] = 0.0  # masked targets
         series = TimeSeriesTensor(values, ("a", "b", "c"))
         predictor = {
             "copy": CopyLastStepPredictor(horizon),
-            "filter": perturbed_state(history, horizon, 1, 3, seed=stride),
+            "filter": perturbed_state(history, horizon, features, 3, seed=stride),
             "filtered": FilteredCopyLastStepPredictor(horizon, window=3),
         }[kind.split("-")[0]]
         predecessor_mode = kind.endswith("predecessor")
         n_anchors = freqfilter.predictors.window_anchors(66, history, horizon, stride).size
         assert n_anchors > 2 and n_anchors % 2 == 1  # several blocks, the last one partial
+        if features > 1:
+            # The oracle's pairwise sum adds a block's features in another order than error_sums,
+            # so here it scores with error_sums and checks what is cut and forecast, bit for bit.
+            monkeypatch.setattr(scoring_reference, "error_sums", freqfilter.metrics.error_sums)
 
         got = rolling_evaluate(predictor, series, history, horizon, stride, predecessor_mode)
         assert got == gathered_rolling_evaluate(predictor, series, history, horizon, stride, predecessor_mode)
@@ -631,3 +649,16 @@ class TestRollingEvaluate:
         monkeypatch.setattr(freqfilter.predictors, "_gather", no_gather)
         report = rolling_evaluate(predictor, series, history, horizon, predecessor_mode=True)
         assert report == previous
+
+    def test_folded_map_reads_histories_without_a_gather(self, monkeypatch):
+        monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 8)
+        state = perturbed_state(6, 3, 1, 3, seed=5)
+        series = TimeSeriesTensor(np.random.default_rng(5).normal(50.0, 9.0, (3, 70, 1)), ("a", "b", "c"))
+        gathered = gathered_rolling_evaluate(state, series, 6, 3, stride=2)
+
+        def no_gather(*args):
+            raise AssertionError("the folded map's histories were gathered")
+
+        monkeypatch.setattr(freqfilter.predictors, "_gather", no_gather)
+        assert rolling_evaluate(state, series, 6, 3, stride=2) == gathered
+        assert rolling_evaluate(state.fold(), series, 6, 3, stride=2) == gathered

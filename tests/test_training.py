@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqfilter.predictors
+import freqfilter.training
+
 from freqfilter.data_io import NormStats, SyntheticConfig, fit_normalization, generate_synthetic
 from freqfilter.predictors import CopyLastStepPredictor, FilterPredictorState, rolling_evaluate
 from freqfilter.tensor import TimeSeriesTensor, slice_window
@@ -306,6 +309,20 @@ class TestTrain:
         val_region = slice_window(series, start, stop - start)
         copy = rolling_evaluate(CopyLastStepPredictor(12), val_region, 12, 12)
         assert log.entries[0][2] == pytest.approx(copy.aggregate.mae, abs=1e-9)
+
+    def test_validation_loss_reads_histories_without_a_gather(self, monkeypatch):
+        series = generate_synthetic(SyntheticConfig(n_nodes=3, n_days=3, gaussian_noise_std=2.0, rng_seed=13))
+        state, ds = prepared_state(series)
+        state.readout_weight += np.random.default_rng(13).normal(0.0, 0.1, state.readout_weight.shape)
+        hist, targ = ds.gather("val", np.arange(ds.n_samples("val")))
+        expected = float(np.mean(np.abs(state.predict(hist) - targ)))
+
+        def no_gather(*args):
+            raise AssertionError("evaluate_loss gathered windows")
+
+        monkeypatch.setattr(freqfilter.predictors, "_gather", no_gather)
+        monkeypatch.setattr(freqfilter.training, "_gather", no_gather)
+        assert evaluate_loss(state, ds, "val") == pytest.approx(expected, rel=1e-12)
 
     def test_validation_loss_improves_on_noisy_data(self):
         series = generate_synthetic(
