@@ -29,6 +29,9 @@ CSV_BLOCK_CELLS = 2**14
 # Integer cells (index timestamps, forecast horizon steps) travel as float64, which holds
 # every integer up to 2^53 in magnitude exactly and skips some beyond it.
 EXACT_INT_LIMIT = 2**53
+# Values per spike draw in generate_synthetic (512 KiB of float64): the series then costs itself,
+# its bool spike mask and a few chunks. The benchmark's small series fit in one chunk.
+SYNTHETIC_CHUNK_VALUES = 2**16
 
 
 class CsvFormatError(ValueError):
@@ -148,6 +151,7 @@ def load_csv(path) -> TimeSeriesTensor:
     if len(kinds) > 1:
         raise CsvFormatError(f"{path}: mixed integer and ISO timestamps")
     times = np.array([t for _, t in stamps])
+    del stamps
     if len(times) > 1:
         deltas = np.diff(times)
         if np.any(deltas <= 0):
@@ -163,7 +167,12 @@ def load_csv(path) -> TimeSeriesTensor:
             raise CsvFormatError(f"{path}: timestamp spacing {spacing:g} s is not a whole number of seconds")
         interval_seconds = int(spacing)
 
-    values = np.concatenate(blocks).T[:, :, None]
+    # Node-major, the layout the transposed blocks have: one array, filled from the blocks
+    # once, then frozen and handed over, so the peak is the blocks and the series.
+    values = np.empty((len(node_ids), len(times), 1), order="F")
+    np.concatenate(blocks, out=values[:, :, 0].T)
+    del blocks
+    values.setflags(write=False)
     return TimeSeriesTensor(values=values, node_ids=tuple(node_ids), interval_seconds=interval_seconds)
 
 
@@ -260,8 +269,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> TimeSeriesTensor:
     depths = rng.uniform(*cfg.rush_hour_depth_range, (len(cfg.rush_hour_centers), n))
 
     # The trend repeats every day, so it is built for one day and added to each.
-    # The rest is built in place, dropping each draw once used, so the series
-    # costs a few copies of itself at most. Every step is the same IEEE
+    # The rest is built in place, so the series costs little more than itself
+    # (README, "Memory"). Every step is the same IEEE
     # operation on the same operands as max(base + amplitude * sin - dips +
     # noise + spikes, min_value), so the values keep their bits.
     tod = np.arange(cfg.steps_per_day) * cfg.interval_seconds
@@ -273,18 +282,29 @@ def generate_synthetic(cfg: SyntheticConfig) -> TimeSeriesTensor:
         bump = np.exp(-(dist**2) / (2.0 * cfg.rush_hour_width_seconds**2))
         trend -= depths[d][:, None] * bump[None, :]
 
-    values = rng.normal(0.0, 1.0, (n, steps))
+    # Drawn straight into an array that owns its data, so TimeSeriesTensor adopts it once frozen.
+    values = rng.normal(0.0, 1.0, (n, steps, 1))
     values *= cfg.gaussian_noise_std
     days = values.reshape(n, cfg.n_days, cfg.steps_per_day)  # a view of values
     days += trend[:, None, :]
-    spiked = rng.random((n, steps)) < cfg.spike_probability
-    magnitudes = rng.uniform(*cfg.spike_magnitude_range, (n, steps))[spiked]
-    negative = (rng.random((n, steps)) < 0.5)[spiked]
-    # Unspiked entries would add 0.0, which leaves every value's bits as they are.
-    values[spiked] += np.where(negative, -magnitudes, magnitudes)
+    # Spikes are drawn in chunks of the flat series, in C order, and only the bool mask is
+    # whole. Each random and uniform draw takes one 64-bit output of the stream, so the chunks
+    # read it exactly as whole-array draws would.
+    flat = values.reshape(-1)  # a view of values
+    spiked = np.empty(flat.size, dtype=bool)
+    chunks = [slice(lo, lo + SYNTHETIC_CHUNK_VALUES) for lo in range(0, flat.size, SYNTHETIC_CHUNK_VALUES)]
+    for c in chunks:
+        np.less(rng.random(spiked[c].size), cfg.spike_probability, out=spiked[c])
+    magnitudes = [rng.uniform(*cfg.spike_magnitude_range, spiked[c].size)[spiked[c]] for c in chunks]
+    for c, magnitude in zip(chunks, magnitudes):
+        negative = (rng.random(spiked[c].size) < 0.5)[spiked[c]]
+        # Unspiked entries would add 0.0, which leaves every value's bits as they are.
+        flat[c][spiked[c]] += np.where(negative, -magnitude, magnitude)
+    del spiked  # before TimeSeriesTensor's finite check makes a mask of its own
     np.maximum(values, cfg.min_value, out=values)
+    values.setflags(write=False)
     node_ids = tuple(f"node_{i:03d}" for i in range(n))
-    return TimeSeriesTensor(values=values[:, :, None], node_ids=node_ids, interval_seconds=cfg.interval_seconds)
+    return TimeSeriesTensor(values=values, node_ids=node_ids, interval_seconds=cfg.interval_seconds)
 
 
 @dataclass(frozen=True)

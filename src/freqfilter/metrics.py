@@ -32,8 +32,8 @@ def error_sums(pred, target, mask_epsilon: float = 1e-6) -> np.ndarray:
     out as (rows, steps), rows in the order of the leading axes, and with two or more steps the
     rows are added one after another in that order; a single step is summed in einsum's order.
     """
-    if not mask_epsilon >= 0:  # also rejects NaN, which would mask every target
-        raise ValueError(f"mask_epsilon must be >= 0, got {mask_epsilon}")
+    if not (math.isfinite(mask_epsilon) and mask_epsilon >= 0):  # NaN or inf would mask every target
+        raise ValueError(f"mask_epsilon must be finite and >= 0, got {mask_epsilon}")
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:

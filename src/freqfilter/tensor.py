@@ -18,6 +18,10 @@ class TimeSeriesTensor:
     values has shape (n_nodes, n_steps, n_features) and is frozen after
     construction; node_ids are unique opaque identifiers; interval_seconds
     is the sampling period (300 for the usual 5-minute traffic feeds).
+
+    values is copied, except for a float64 ndarray that owns its data
+    (base is None) and is already read-only: that one is adopted as it is,
+    and the caller hands it over, keeping no writeable view of it.
     """
 
     values: np.ndarray
@@ -25,7 +29,14 @@ class TimeSeriesTensor:
     interval_seconds: int = 300
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64, copy=True)
+        values = self.values
+        if not (
+            type(values) is np.ndarray
+            and values.dtype == np.float64
+            and values.base is None
+            and not values.flags.writeable
+        ):
+            values = np.array(values, dtype=np.float64, copy=True)
         if values.ndim != 3:
             raise ValueError(f"values must be 3-D (node, time, feature), got shape {values.shape}")
         if min(values.shape) < 1:

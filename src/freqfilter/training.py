@@ -141,6 +141,11 @@ def adam_step(
     """One bias-corrected moment update, in place on param/m/v."""
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient passed to adam_step")
+    _adam_update(param, grad, m, v, step, lr)
+
+
+def _adam_update(param, grad, m, v, step, lr) -> None:
+    """adam_step without its finite check, for a caller that has checked grad already."""
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
@@ -176,7 +181,7 @@ class Adam:
     def step(self) -> None:
         _check_gradients(self.state)
         self.step_count += 1
-        adam_step(self.state.params, self.state.grads, self.m, self.v, self.step_count, self.lr)
+        _adam_update(self.state.params, self.state.grads, self.m, self.v, self.step_count, self.lr)
         self.state.apply_pins()
 
 

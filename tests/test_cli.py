@@ -164,7 +164,7 @@ def test_predict_reads_histories_without_a_gather(tmp_path, small_csv, small_ckp
     assert out.read_bytes() == expected
 
 
-@pytest.mark.parametrize(
+_SCORING_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ["baseline"],
@@ -174,14 +174,32 @@ def test_predict_reads_histories_without_a_gather(tmp_path, small_csv, small_ckp
     ],
     ids=["baseline", "baseline-rolling", "evaluate-checkpoint", "evaluate-forecast"],
 )
+
+
+@_SCORING_COMMANDS
 def test_nan_mape_epsilon_is_rejected(tmp_path, small_csv, small_ckpt, capsys, argv):
+    assert _run_with_mape_epsilon(tmp_path, small_csv, small_ckpt, capsys, argv, "nan") == (
+        1, "error: mask_epsilon must be finite and >= 0, got nan\n"
+    )
+
+
+@_SCORING_COMMANDS
+def test_infinite_mape_epsilon_is_rejected(tmp_path, small_csv, small_ckpt, capsys, argv):
+    # inf masks every target, so MAPE would print n/a and the command would succeed.
+    assert _run_with_mape_epsilon(tmp_path, small_csv, small_ckpt, capsys, argv, "inf") == (
+        1, "error: mask_epsilon must be finite and >= 0, got inf\n"
+    )
+
+
+def _run_with_mape_epsilon(tmp_path, small_csv, small_ckpt, capsys, argv, epsilon):
+    """(exit code, stderr) of argv run with --mape-epsilon epsilon on small_csv or its forecast."""
     forecast = tmp_path / "forecast.csv"
     assert main(["predict", "--checkpoint", str(small_ckpt), "--data", str(small_csv), "--out", str(forecast)]) == 0
     argv = [arg.format(ckpt=small_ckpt, forecast=forecast) for arg in argv]
     data = [] if "--forecast" in argv else ["--data", str(small_csv)]
     capsys.readouterr()
-    assert main(argv + data + ["--mape-epsilon", "nan"]) == 1
-    assert capsys.readouterr().err == "error: mask_epsilon must be >= 0, got nan\n"
+    code = main(argv + data + ["--mape-epsilon", epsilon])
+    return code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

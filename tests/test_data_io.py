@@ -37,6 +37,8 @@ from freqfilter.data_io import (
 from freqfilter.predictors import FilterPredictorState
 from freqfilter.tensor import TimeSeriesTensor
 
+import synthetic_reference
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -191,6 +193,22 @@ class TestLoadCsv:
         save_csv(reloaded, second)
         assert first.read_text() == second.read_text()
         np.testing.assert_allclose(reloaded.values, series.values, atol=5e-7)
+
+    def test_peak_is_the_blocks_and_the_series(self, tmp_path, monkeypatch):
+        path = tmp_path / "wide.csv"
+        series = generate_synthetic(SyntheticConfig(n_nodes=300, n_days=2, rng_seed=4))
+        save_csv(series, path)
+        # Small blocks, so the text of the block being parsed stays small beside this small file.
+        # The blocks and the series are 2x the series; node ids and stamps add about 0.1x.
+        monkeypatch.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", 2**10)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * loaded.values.nbytes, peak / loaded.values.nbytes
+        np.testing.assert_allclose(loaded.values, series.values, atol=5e-7)
 
 
 def save_csv_by_rows(series, path, start_timestamp=None):
@@ -437,6 +455,45 @@ class TestSynthetic:
         expected = np.maximum(trend + noise + np.where(spiked, signs * magnitudes, 0.0), cfg.min_value)
         assert np.count_nonzero(spiked) > 0
         assert series.values[:, :, 0].tobytes() == expected.tobytes()
+
+    # 675 s steps make 128 steps a day, so 512 one-day nodes fill one spike-draw chunk exactly.
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(spike_probability=0.0),
+            dict(spike_probability=0.02),
+            dict(spike_probability=1.0),
+            dict(n_nodes=1, n_days=40),
+            dict(n_nodes=40, n_days=1),
+            dict(gaussian_noise_std=0.0),
+            dict(n_nodes=511, n_days=1, interval_seconds=675),
+            dict(n_nodes=512, n_days=1, interval_seconds=675),
+            dict(n_nodes=513, n_days=1, interval_seconds=675),
+            dict(n_nodes=513, n_days=1, interval_seconds=675, spike_probability=1.0),
+            dict(n_nodes=30, n_days=30, spike_probability=0.05, rng_seed=11),
+        ],
+    )
+    def test_chunked_spike_draws_keep_the_whole_array_bits(self, settings):
+        cfg = SyntheticConfig(**{"n_nodes": 6, "n_days": 3, "rng_seed": 3, **settings})
+        expected = synthetic_reference.generate_synthetic(cfg).values
+        assert generate_synthetic(cfg).values.tobytes() == expected.tobytes()
+
+    def test_chunk_boundary_configs_sit_on_the_boundary(self):
+        steps = SyntheticConfig(n_days=1, interval_seconds=675).n_steps
+        assert 512 * steps == freqfilter.data_io.SYNTHETIC_CHUNK_VALUES
+
+    def test_peak_is_the_series_and_its_spike_mask(self):
+        # 128 x 18,432 values: 36 chunks. A bool mask is 1/8 of the series; the chunks and
+        # the ~1% spiked magnitudes add about 6% more.
+        cfg = SyntheticConfig(n_nodes=128, n_days=64, rng_seed=2)
+        tracemalloc.start()
+        try:
+            series = generate_synthetic(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * series.values.nbytes, peak / series.values.nbytes
+        assert series.values.size > 8 * freqfilter.data_io.SYNTHETIC_CHUNK_VALUES
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="spike_probability"):

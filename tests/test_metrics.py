@@ -124,8 +124,14 @@ def test_negative_epsilon_rejected():
 
 def test_nan_epsilon_rejected():
     # NaN compares false with every bound, so unchecked it would mask every target.
-    with pytest.raises(ValueError, match=r"^mask_epsilon must be >= 0, got nan$"):
+    with pytest.raises(ValueError, match=r"^mask_epsilon must be finite and >= 0, got nan$"):
         error_sums(np.zeros((2, 1)), np.ones((2, 1)), mask_epsilon=float("nan"))
+
+
+def test_infinite_epsilon_rejected():
+    # Every |target| is below inf, so unchecked it would mask every target too.
+    with pytest.raises(ValueError, match=r"^mask_epsilon must be finite and >= 0, got inf$"):
+        error_sums(np.zeros((2, 1)), np.ones((2, 1)), mask_epsilon=float("inf"))
 
 
 def test_table_and_csv_rendering():

@@ -37,6 +37,36 @@ class TestTimeSeriesTensor:
         with pytest.raises(ValueError):
             t.values[0, 0, 0] = 5.0
 
+    def test_writeable_input_is_copied(self):
+        source = np.ones((1, 4, 1))
+        t = TimeSeriesTensor(source, ("a",))
+        source[0, 0, 0] = 5.0
+        assert t.values[0, 0, 0] == 1.0
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        source = np.ones((1, 4, 1))
+        view = source[:, :, :]
+        view.setflags(write=False)
+        t = TimeSeriesTensor(view, ("a",))
+        source[0, 0, 0] = 5.0
+        assert t.values[0, 0, 0] == 1.0
+        assert not np.shares_memory(t.values, source)
+
+    def test_read_only_array_of_another_dtype_is_copied(self):
+        source = np.ones((1, 4, 1), dtype=np.float32)
+        source.setflags(write=False)
+        t = TimeSeriesTensor(source, ("a",))
+        assert t.values.dtype == np.float64 and t.values.base is None
+
+    def test_read_only_array_owning_its_data_is_adopted(self):
+        source = np.array([[[0.0], [1.0], [2.0], [3.0]]])
+        source.setflags(write=False)
+        t = TimeSeriesTensor(source, ("a",))
+        assert t.values is source
+        with pytest.raises(ValueError):
+            t.values[0, 0, 0] = 5.0
+        np.testing.assert_array_equal(t.values[0, :, 0], [0.0, 1.0, 2.0, 3.0])
+
 
 class TestSliceWindow:
     def test_full_slice_is_identity(self):
