@@ -13,7 +13,7 @@ import argparse
 import csv
 import io
 import sys
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -244,48 +244,53 @@ def _forecast_ids(series: TimeSeriesTensor) -> list[str]:
     return cells
 
 
-def _horizon_step(text: str) -> int:
-    step = int(text)
-    if abs(step) > EXACT_INT_LIMIT:  # the step travels through a float64 table
-        raise CsvFormatError(f"integer cell {text!r} is beyond ±2^53, where float64 skips integers")
-    return step
-
-
 _FORECAST_HEADER = "timestamp,node_id,horizon_step,predicted,actual"
-_FORECAST_NUMBERS = (("horizon_step", _horizon_step), ("predicted", float), ("actual", float))
+_FORECAST_NUMBERS = (("horizon_step", int), ("predicted", float), ("actual", float))
 
 
-def _parse_forecast_rows(path: str, first_line: int, lines: list[str]) -> np.ndarray:
-    """(rows, 3) horizon_step, predicted, actual, one line at a time: the first bad line raises."""
-    rows = []
+def _forecast_cells(line: str) -> list[str]:
+    """A stripped forecast line's cells: node ids may be quoted, and only a line holding a '"' needs csv's rules."""
+    return next(csv.reader([line])) if '"' in line else line.split(",")
+
+
+def _locate_bad_forecast_line(path: str, first_line: int, lines: list[str]) -> None:
+    """Raise for the first line of the block that _parse_forecast_block cannot convert, naming its cell."""
     for line_num, line in enumerate(lines, start=first_line):
-        text = line.strip()
-        parts = next(csv.reader([text])) if '"' in text else text.split(",")  # node ids may be quoted
+        parts = _forecast_cells(line.strip())
         if len(parts) != 5:
             raise CsvFormatError(f"{path}:{line_num}: expected 5 cells, got {len(parts)}")
-        row = []
         for (column, convert), cell in zip(_FORECAST_NUMBERS, parts[2:]):
             try:
-                row.append(convert(cell))
-            except CsvFormatError as exc:
-                raise CsvFormatError(f"{path}:{line_num}: column {column!r}: {exc}") from None
+                value = convert(cell)
             except ValueError:
                 raise CsvFormatError(f"{path}:{line_num}: column {column!r}: non-numeric cell {cell!r}") from None
-        rows.append(row)
-    return np.array(rows)
+            if convert is int and abs(value) > EXACT_INT_LIMIT:  # the step travels through a float64 table
+                raise CsvFormatError(
+                    f"{path}:{line_num}: column {column!r}: integer cell {cell!r} is beyond ±2^53, where float64 skips integers"
+                )
 
 
 def _parse_forecast_block(path: str, first_line: int, lines: list[str]) -> np.ndarray:
-    """What _parse_forecast_rows returns, with every cell of the block split and converted at once."""
+    """(rows, 3) horizon_step, predicted, actual of a block of forecast lines, each column converted at once.
+
+    Non-finite values pass; the caller checks the whole table.
+    """
     stripped = list(map(str.strip, lines))
-    if set(map(str.count, stripped, repeat(","))) == {4}:
-        cells = ",".join(stripped).split(",")
+    text = ",".join(stripped)
+    if '"' in text:
+        rows = list(map(_forecast_cells, stripped))
+        cells = list(chain.from_iterable(rows)) if set(map(len, rows)) == {5} else None
+    else:
+        cells = text.split(",") if set(map(str.count, stripped, repeat(","))) == {4} else None
+    if cells is not None:
         try:
             columns = [list(map(convert, cells[k::5])) for k, (_, convert) in enumerate(_FORECAST_NUMBERS, start=2)]
-            return np.array(columns).T
         except ValueError:
             pass
-    return _parse_forecast_rows(path, first_line, lines)  # names the first bad line
+        else:
+            if max(map(abs, columns[0])) <= EXACT_INT_LIMIT:  # the steps travel through a float64 table
+                return np.array(columns).T
+    _locate_bad_forecast_line(path, first_line, lines)  # raises: some line did not convert
 
 
 def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, str, object]]:
@@ -301,16 +306,20 @@ def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, st
     if not blocks:
         raise CsvFormatError(f"{path}: no forecast rows")
     table = np.concatenate(blocks)  # (rows, 3): horizon_step, predicted, actual
+    del blocks
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         row, col = bad[0]
         column = _FORECAST_NUMBERS[col][0]
         raise CsvFormatError(f"{path}:{row + 2}: column {column!r}: non-finite cell {float(table[row, col])}")
-    labels, step_index = np.unique(table[:, 0].astype(np.int64), return_inverse=True)
-    steps = [table[step_index == k] for k in range(labels.size)]
+    # A stable sort keeps each step's rows in file order, the order error_sums adds them in;
+    # only one step's rows are copied out at a time.
+    labels, counts = np.unique(table[:, 0], return_counts=True)
+    order = np.argsort(table[:, 0], kind="stable")
+    steps = map(table.__getitem__, np.split(order, np.cumsum(counts)[:-1]))
     sums = [error_sums(s[:, None, 1:2], s[:, None, 2:3], mape_epsilon) for s in steps]  # (rows, 1 step, 1 feature)
     per_step, aggregate = reports_from_sums(np.hstack(sums))
-    return [(str(k), f"step {k}", r) for k, r in zip(labels, per_step)] + [("aggregate", "aggregate", aggregate)]
+    return [(str(k), f"step {k}", r) for k, r in zip(labels.astype(np.int64), per_step)] + [("aggregate", "aggregate", aggregate)]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -404,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="metrics per horizon step from a forecast CSV or checkpoint+data")
     p.add_argument("--forecast")
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
     # Checkpoint scoring only; --forecast rejects them when given.
+    p.add_argument("--checkpoint", action=_StoreGiven)
+    p.add_argument("--data", action=_StoreGiven)
     p.add_argument("--stride", type=int, default=1, action=_StoreGiven)
     p.add_argument("--split", type=_parse_ratios, default=_DEFAULT_SPLIT, action=_StoreGiven)
     p.add_argument("--region", choices=("test", "all"), default="test", action=_StoreGiven)

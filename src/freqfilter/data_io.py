@@ -61,21 +61,17 @@ def _parse_timestamp(raw: str, row: int) -> tuple[str, float]:
     return "iso", stamp.timestamp()
 
 
-def _parse_rows(rows: list[list[str]], header: list[str], first_row: int) -> tuple[list, np.ndarray]:
-    """(kind, time) stamps and (rows, nodes) values, one row at a time: the first bad cell raises."""
-    stamps = []
-    parsed_rows: list[list[float]] = []
+def _locate_bad_row(rows: list[list[str]], header: list[str], first_row: int) -> None:
+    """Raise for the first row of the block that _parse_block cannot convert, naming its cell."""
     for row_num, row in enumerate(rows, start=first_row):
         if len(row) != len(header):
             raise CsvFormatError(
                 f"row {row_num}: expected {len(header)} cells, got {len(row)}"
             )
-        stamps.append(_parse_timestamp(row[0], row_num))
-        parsed = []
+        _parse_timestamp(row[0], row_num)
         for col, cell in enumerate(row[1:], start=1):
-            text = cell.strip()
             try:
-                value = float(text)
+                value = float(cell)
             except ValueError:
                 raise CsvFormatError(
                     f"row {row_num}, column {header[col]!r}: non-numeric cell {cell!r}"
@@ -84,16 +80,13 @@ def _parse_rows(rows: list[list[str]], header: list[str], first_row: int) -> tup
                 raise CsvFormatError(
                     f"row {row_num}, column {header[col]!r}: non-finite cell {cell!r}"
                 )
-            parsed.append(value)
-        parsed_rows.append(parsed)
-    return stamps, np.array(parsed_rows)
 
 
 def _parse_block(rows: list[list[str]], header: list[str], first_row: int) -> tuple[list, np.ndarray]:
-    """What _parse_rows returns, with every cell of the block converted at once.
+    """(kind, time) stamps and (rows, nodes) values of a block of rows, every cell converted at once.
 
     Any ragged row, bad cell or non-finite value sends the block to
-    _parse_rows, which names the first one.
+    _locate_bad_row, which names the first one.
     """
     n_columns = len(header)
     if set(map(len, rows)) == {n_columns}:
@@ -107,7 +100,7 @@ def _parse_block(rows: list[list[str]], header: list[str], first_row: int) -> tu
         else:
             if np.isfinite(values).all():
                 return stamps, values
-    return _parse_rows(rows, header, first_row)
+    _locate_bad_row(rows, header, first_row)  # raises: some row did not convert
 
 
 def load_csv(path) -> TimeSeriesTensor:

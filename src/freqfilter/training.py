@@ -83,7 +83,7 @@ def make_windows(
     if history < 1 or horizon < 1:
         raise ValueError("history and horizon must be >= 1")
     ratios = tuple(float(r) for r in split_ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
+    if len(ratios) != 3 or any(not r >= 0 for r in ratios):  # not >= 0 also holds for NaN
         raise ValueError(f"split_ratios must be three non-negative numbers, got {split_ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split_ratios must sum to 1, got {sum(ratios)}")

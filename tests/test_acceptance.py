@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import freqfilter as ff
+import freqfilter.training
 from freqfilter.spectral import half_length
 
 from numgrad import central_difference, max_relative_error
@@ -293,6 +294,47 @@ class TestCriterion6ClosedFormReference:
             f"trained filter MAE {maes['filter']:.4f} / lstsq affine map MAE {maes['reference']:.4f} "
             f"= {ratio:.3f} (<= 1.02)",
         )
+
+
+class _ReadoutOnlyAdam(freqfilter.training.Adam):
+    """Adam with the filter's gradients zeroed after each pullback: moments that start at 0 stay 0,
+    so the lift and kernel keep their initial bytes and only the readout trains."""
+
+    def step(self) -> None:
+        for slot in self.state.parameters():
+            if slot.name.startswith("filter."):
+                slot.grad[...] = 0.0
+        super().step()
+
+
+def test_criterion_6_readout_only_ablation(bench_series, trained_model):
+    """What training the lift and kernel adds over training the readout alone, on the criterion-6 setup."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freqfilter.training, "Adam", _ReadoutOnlyAdam)
+        state, log, region, report = _train_benchmark_model(bench_series)
+    ds = ff.make_windows(bench_series, 12, 12, (0.7, 0.1, 0.2))
+    norm = ff.fit_normalization(bench_series, ds.split_ranges["train"])
+    initial = ff.FilterPredictorState.initialize(12, 12, bench_series.n_features, 4, norm, seed=42)
+    moved = [
+        a.name for a, b in zip(state.parameters(), initial.parameters())
+        if a.name.startswith("filter.") and a.value.tobytes() != b.value.tobytes()
+    ]
+    _report("criterion 6 readout-only", not moved, f"lift and kernel bytes unchanged by training (changed: {moved})")
+    readout_only, full = report.aggregate.mae, trained_model["report"].aggregate.mae
+    copy = ff.rolling_evaluate(ff.CopyLastStepPredictor(12), region, 12, 12).aggregate.mae
+    improvement = 1.0 - readout_only / copy
+    _report(
+        "criterion 6 readout-only",
+        improvement >= 0.10,
+        f"readout-only MAE {readout_only:.4f} ({len(log.entries) - 1} epochs) vs CopyLastStep {copy:.4f}: "
+        f"{improvement * 100:.1f}% better (>= 10%)",
+    )
+    _report(
+        "criterion 6 readout-only",
+        full / readout_only <= 1.02,
+        f"full filter MAE {full:.4f} ({len(trained_model['log'].entries) - 1} epochs) / readout-only MAE "
+        f"{readout_only:.4f} = {full / readout_only:.3f} (<= 1.02)",
+    )
 
 
 def test_criterion_7_training_determinism(bench_series, trained_model, tmp_path):

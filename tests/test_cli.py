@@ -1,7 +1,10 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freqfilter.cli
 import freqfilter.data_io
@@ -11,6 +14,8 @@ from freqfilter.data_io import NormStats, load_checkpoint, load_csv, save_checkp
 from freqfilter.predictors import FilterPredictorState, iter_windows, window_anchors
 from freqfilter.tensor import TimeSeriesTensor
 from freqfilter.filters import smooth
+
+from csv_blocks import blocks, no_locator
 
 
 @pytest.fixture()
@@ -271,6 +276,27 @@ def test_evaluate_forecast_scores_each_step(tmp_path, capsys):
     ]
 
 
+def test_evaluate_forecast_peak_is_the_blocks_and_the_table(tmp_path, monkeypatch):
+    rows = 24_000
+    values = np.random.default_rng(6).normal(50.0, 10.0, (rows, 2))
+    path = tmp_path / "forecast.csv"
+    with path.open("w") as fh:
+        fh.write("timestamp,node_id,horizon_step,predicted,actual\n")
+        fh.writelines(f"{i // 24},n{i % 2},{i % 12 + 1},{p:.6f},{a:.6f}\n" for i, (p, a) in enumerate(values))
+    # Small blocks, so the text of the block being parsed stays small beside this small file. The
+    # parsed blocks and their concatenation are 2x the (rows, 3) table; grouping rows by step adds
+    # an index of a third of it and one step's rows.
+    monkeypatch.setattr(freqfilter.cli, "CSV_BLOCK_CELLS", 2**10)
+    tracemalloc.start()
+    try:
+        freqfilter.cli._evaluate_forecast_csv(str(path), 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = rows * 3 * 8
+    assert peak <= 2.3 * table_bytes, peak / table_bytes
+
+
 # Each malformed forecast CSV and its whole message, as the row-at-a-time reader gave it.
 _MALFORMED_FORECASTS = [
     ("header", "time,node_id\n6,a,1,50.0,51.0\n", "{path}: not a forecast CSV (unexpected header 'time,node_id')"),
@@ -306,6 +332,17 @@ _MALFORMED_FORECASTS = [
         "late-line",
         "timestamp,node_id,horizon_step,predicted,actual\n" + "7,a,1,50.0,51.0\n" * 11 + "8,a,1,50.0\n",
         "{path}:13: expected 5 cells, got 4",
+    ),
+    # By CSV rules the quoted "6,a" is one cell, so the line has 4, whatever the other lines of its block hold.
+    (
+        "quoted-comma-short-row",
+        'timestamp,node_id,horizon_step,predicted,actual\n"6,a",1,50.0,51.0\n7,a,2,50.5,49.0\n7,a,1,52.0,53.0\n',
+        "{path}:2: expected 5 cells, got 4",
+    ),
+    (
+        "quoted-comma-short-row-beside-quoted-comma",
+        'timestamp,node_id,horizon_step,predicted,actual\n"6,a",1,50.0,51.0\n7,"a,b",2,50.5,49.0\n7,a,1,52.0,53.0\n',
+        "{path}:2: expected 5 cells, got 4",
     ),
 ]
 
@@ -344,6 +381,51 @@ def test_forecast_csv_keeps_quoted_node_ids(tmp_path, monkeypatch, block_cells):
     # Apart from the node id cell, every row is the row written for plain ids.
     assert [row[:1] + row[2:] for row in rows] == [row.split(",")[:1] + row.split(",")[2:] for row in plain.splitlines()]
     assert quoted.splitlines()[1].split(",", 1)[1].startswith('"a,b",1,')
+
+
+def test_forecast_csv_parses_in_bulk_whatever_its_node_ids(tmp_path, monkeypatch):
+    _, plain_metrics = _predict_and_score(tmp_path, "unpatched", ("n0", "n1", "n2", "n3"))
+    monkeypatch.setattr(freqfilter.cli, "_locate_bad_forecast_line", no_locator)
+    monkeypatch.setattr(freqfilter.data_io, "_locate_bad_row", no_locator)
+    for name, node_ids in [
+        ("plain", ("n0", "n1", "n2", "n3")),
+        ("quoted", ('q"x', '"', "50%", "n3")),
+        ("quoted-comma", ("a,b", 'q"x', '"', "50%,")),
+    ]:
+        _, metrics = _predict_and_score(tmp_path, name, node_ids)
+        assert metrics == plain_metrics, name
+
+
+_FORECAST_BLOCKS = blocks(
+    st.sampled_from(["6", "a", '"a,b"', '"q""x"']),
+    st.sampled_from(["a", '"a,b"', '"6,a"']),
+    st.integers(-(2**53), 2**53).map(str),
+    st.floats().map(repr),  # NaN and inf convert; the whole table is checked for them later
+    st.floats().map(repr),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FORECAST_BLOCKS)
+def test_forecast_block_converts_exactly_when_the_locator_finds_nothing(rows):
+    lines = [",".join(row) + "\n" for row in rows]
+    try:
+        freqfilter.cli._locate_bad_forecast_line("f.csv", 2, lines)
+    except freqfilter.data_io.CsvFormatError:
+        expected = None
+    else:
+        parts = [next(csv.reader([line.strip()])) for line in lines]
+        expected = np.array([[int(p[2]), float(p[3]), float(p[4])] for p in parts])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(freqfilter.cli, "_locate_bad_forecast_line", no_locator)
+        try:
+            table = freqfilter.cli._parse_forecast_block("f.csv", 2, lines)
+        except AssertionError:
+            table = None
+    if expected is None:
+        assert table is None
+    else:
+        assert table.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("node", ["a\nb", "c\rd", "e\r\nf"])
@@ -399,8 +481,11 @@ def test_evaluate_forecast_scores_steps_up_to_2_53(tmp_path, monkeypatch, block_
         (["--reg", "test"], [], "region"),
         ([], ["stride=12"], "stride"),
         ([], ["mape_epsilon=0.5", "split=0.6,0.2,0.2"], "split"),
+        (["--checkpoint", "missing.ckpt"], [], "checkpoint"),
+        (["--data", "missing.csv"], [], "data"),
+        ([], ["checkpoint=missing.ckpt"], "checkpoint"),
     ],
-    ids=["stride", "region", "split", "abbreviated", "config-stride", "config-split"],
+    ids=["stride", "region", "split", "abbreviated", "config-stride", "config-split", "checkpoint", "data", "config-checkpoint"],
 )
 def test_evaluate_forecast_rejects_checkpoint_options(tmp_path, capsys, flags, entries, option):
     path = tmp_path / "forecast.csv"
@@ -412,6 +497,13 @@ def test_evaluate_forecast_rejects_checkpoint_options(tmp_path, capsys, flags, e
     captured = capsys.readouterr()
     assert captured.err == f"error: evaluate --forecast does not take --{option}: it applies only to --checkpoint scoring\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["baseline", "train", "evaluate"])
+def test_nan_split_is_rejected_by_name(tmp_path, small_csv, small_ckpt, capsys, command):
+    extra = {"train": ["--checkpoint", str(tmp_path / "m.ckpt")], "evaluate": ["--checkpoint", str(small_ckpt)]}
+    assert main([command, "--data", str(small_csv), "--split", "nan,0.5,0.5", *extra.get(command, [])]) == 1
+    assert capsys.readouterr().err == "error: split_ratios must be three non-negative numbers, got (nan, 0.5, 0.5)\n"
 
 
 def test_evaluate_forecast_takes_its_own_options_from_config(tmp_path, capsys):

@@ -38,6 +38,7 @@ from freqfilter.predictors import FilterPredictorState
 from freqfilter.tensor import TimeSeriesTensor
 
 import synthetic_reference
+from csv_blocks import blocks, no_locator
 
 DATA = Path(__file__).parent / "data"
 
@@ -265,6 +266,13 @@ _MALFORMED_CSVS = [
 ]
 
 
+_WIDE_BLOCKS = blocks(
+    st.integers(-(2**53), 2**53).map(str) | st.just("2024-01-01T00:00:00"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
 class TestCsvContract:
     """save_csv writes the bytes the row writer wrote; load_csv reads in bulk but reports like the row reader."""
 
@@ -342,6 +350,44 @@ class TestCsvContract:
         path.write_bytes(content.encode())
         loaded = load_csv(path)
         assert loaded.values[:, :, 0].T.tolist() == [[1.5, 2.5], [3.5, 4.5]]
+
+    @pytest.mark.parametrize("start", [None, datetime(2024, 3, 10, 1, 30)], ids=["index", "iso"])
+    def test_well_formed_files_never_reach_the_locator(self, tmp_path, monkeypatch, start):
+        values = np.random.default_rng(5).normal(50.0, 10.0, (3, 40, 1))
+        values[0, 0, 0] = -0.0
+        node_ids = ("a,b", 'say "hi"', "50%")
+        path = tmp_path / "series.csv"
+        save_csv(TimeSeriesTensor(values, node_ids, interval_seconds=60), path, start_timestamp=start)
+        assert path.read_bytes().startswith(b'timestamp,"a,b","say ""hi""",50%\r\n')
+        monkeypatch.setattr(freqfilter.data_io, "_locate_bad_row", no_locator)
+        monkeypatch.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", 10)
+        loaded = load_csv(path)
+        rounded = np.array([float(f"{v:.6f}") for v in values.ravel()]).reshape(values.shape)
+        assert loaded.values.tobytes() == rounded.tobytes()
+        assert loaded.node_ids == node_ids
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WIDE_BLOCKS)
+    def test_block_converts_exactly_when_the_locator_finds_nothing(self, rows):
+        header = ["timestamp", "a", "b"]
+        try:
+            freqfilter.data_io._locate_bad_row(rows, header, 2)
+        except CsvFormatError:
+            expected = None
+        else:
+            stamps = [freqfilter.data_io._parse_timestamp(row[0], 2 + i) for i, row in enumerate(rows)]
+            expected = stamps, np.array([list(map(float, row[1:])) for row in rows])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(freqfilter.data_io, "_locate_bad_row", no_locator)
+            try:
+                got = freqfilter.data_io._parse_block(rows, header, 2)
+            except AssertionError:
+                got = None
+        if expected is None:
+            assert got is None
+        else:
+            assert got[0] == expected[0]
+            assert got[1].tobytes() == expected[1].tobytes()
 
 
 _BEYOND_2_53 = "is beyond ±2^53, where float64 skips integers"

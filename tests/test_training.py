@@ -114,6 +114,11 @@ class TestMakeWindows:
         with pytest.raises(ValueError, match="non-negative"):
             make_windows(series, 4, 2, (1.2, -0.1, -0.1))
 
+    def test_nan_ratio_is_rejected_by_name(self):
+        # NaN compares false with everything: it must fail the sign check, not reach int() later.
+        with pytest.raises(ValueError, match=r"^split_ratios must be three non-negative numbers, got \(nan, 0\.5, 0\.5\)$"):
+            make_windows(toy_series(50), 4, 2, (float("nan"), 0.5, 0.5))
+
 
 class TestMaeLoss:
     def test_zero_on_equal_inputs(self):
