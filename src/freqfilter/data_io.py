@@ -424,7 +424,10 @@ def load_checkpoint(path):
         raise CheckpointShapeError(
             f"header n_half={n_half} inconsistent with history={history} (expected {half_length(history)})"
         )
+    flag_offset = cur.pos
     (has_norm,) = struct.unpack("<B", cur.take(1, "normalization flag"))
+    if has_norm > 1:  # save_checkpoint writes only 0 or 1, so any other byte would not re-save as read
+        raise CheckpointError(f"normalization flag {has_norm} at byte offset {flag_offset} is neither 0 nor 1")
 
     norm_slots = (("normalization mean", (features,)), ("normalization std", (features,))) if has_norm else ()
     slots = norm_slots + parameter_layout(history, horizon, features, width)

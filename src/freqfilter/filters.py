@@ -31,16 +31,25 @@ def check_smoothing_window(window) -> int:
     return int(window)
 
 
-def moving_average(x, window: int) -> np.ndarray:
-    """Causal trailing mean along axis -2; the window shrinks at the start so length is preserved."""
-    window = check_smoothing_window(window)
+def _check_series(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < 1:
         raise ValueError(f"series must have shape (..., time, features) with at least one time step, got {x.shape}")
-    n = x.shape[-2]
-    w = min(window, n)
+    return x
+
+
+def _full_window_means(x: np.ndarray, w: int) -> np.ndarray:
+    """The mean of every run of w consecutive steps along axis -2, as one reduction over a sliding-window view."""
+    return np.lib.stride_tricks.sliding_window_view(x, w, axis=-2).mean(axis=-1)
+
+
+def moving_average(x, window: int) -> np.ndarray:
+    """Causal trailing mean along axis -2; the window shrinks at the start so length is preserved."""
+    window = check_smoothing_window(window)
+    x = _check_series(x)
+    w = min(window, x.shape[-2])
     out = np.empty_like(x)
-    out[..., w - 1 :, :] = np.lib.stride_tricks.sliding_window_view(x, w, axis=-2).mean(axis=-1)
+    out[..., w - 1 :, :] = _full_window_means(x, w)
     for t in range(w - 1):
         out[..., t, :] = x[..., : t + 1, :].mean(axis=-2)
     return out
@@ -50,6 +59,14 @@ def smooth(x, window: int) -> np.ndarray:
     """The fixed smoother: the trailing mean blended 50/50 with the original, along axis -2."""
     x = np.asarray(x, dtype=np.float64)
     return (x + moving_average(x, window)) / 2.0
+
+
+def smooth_last_step(x, window: int) -> np.ndarray:
+    """smooth(x, window)[..., -1:, :] with the same bits, read from the last min(window, time) steps only."""
+    window = check_smoothing_window(window)
+    x = _check_series(x)
+    w = min(window, x.shape[-2])
+    return (x[..., -1:, :] + _full_window_means(x[..., -w:, :], w)) / 2.0
 
 
 def check_window_shape(x, window_length: int, features: int, what: str) -> np.ndarray:

@@ -41,11 +41,16 @@ def error_sums(pred, target, mask_epsilon: float = 1e-6) -> np.ndarray:
     if pred.ndim < 2:
         raise ValueError(f"pred and target must have shape (..., steps, features), got {pred.shape}")
     steps = pred.shape[-2]
-    # Views when there is one feature, which is what evaluation blocks have.
-    abs_err = np.abs(pred - target).swapaxes(-1, -2).reshape(-1, steps)
-    abs_target = np.abs(target).swapaxes(-1, -2).reshape(-1, steps)
+    # C-order temporaries, so with one feature, which is what evaluation blocks have, the (rows,
+    # steps) layouts are views even when pred and target are overlapping strided window views.
+    abs_err = np.subtract(pred, target, order="C")
+    np.abs(abs_err, out=abs_err)
+    abs_err = abs_err.swapaxes(-1, -2).reshape(-1, steps)
+    abs_target = np.abs(target, order="C").swapaxes(-1, -2).reshape(-1, steps)
     kept = abs_target > mask_epsilon
-    pct = np.divide(abs_err, abs_target, out=np.zeros_like(abs_err), where=kept)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the masked quotients are discarded
+        pct = np.divide(abs_err, abs_target, out=abs_target)
+    pct[~kept] = 0.0  # not pct * kept: a NaN or infinite quotient times 0 is NaN
     sums = np.empty((5, steps))
     np.einsum("ij->j", abs_err, out=sums[0])
     np.einsum("ij,ij->j", abs_err, abs_err, out=sums[1])

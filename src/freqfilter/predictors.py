@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .filters import check_smoothing_window, check_window_shape, filter_forward, smooth
+from .filters import check_smoothing_window, check_window_shape, filter_forward, smooth, smooth_last_step
 from .metrics import MetricsReport, error_sums, reports_from_sums
 from .spectral import half_bin_multiplicity, half_length, irfft, rfft
 from .tensor import TimeSeriesTensor
@@ -67,9 +67,7 @@ class FilteredCopyLastStepPredictor:
         self.window = check_smoothing_window(window)
 
     def predict(self, histories) -> np.ndarray:
-        # The smoothed last step reads only the trailing window, so only that tail is smoothed.
-        tail = np.asarray(histories, dtype=np.float64)[..., -self.window :, :]
-        return copy_last_step(self.transform_series(tail), self.horizon)
+        return copy_last_step(smooth_last_step(histories, self.window), self.horizon)
 
     def transform_series(self, values: np.ndarray) -> np.ndarray:
         return smooth(values, self.window)

@@ -764,6 +764,18 @@ class TestCheckpoints:
         loaded = load_checkpoint(path)
         assert loaded.norm is None
 
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_normalization_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(trained_like_state(), path)
+        data = bytearray(path.read_bytes())
+        offset = len(CHECKPOINT_MAGIC) + 4 + 20  # magic, u32 version, five u32 dimensions, then the flag
+        assert data[offset] == 1
+        data[offset] = flag
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=rf"^normalization flag {flag} at byte offset 32 is neither 0 nor 1$"):
+            load_checkpoint(path)
+
     def test_zero_history_in_header_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(trained_like_state(), path)

@@ -146,7 +146,11 @@ def test_table_and_csv_rendering():
 
 
 def scoring_block(shape, seed):
-    """Random forecasts and targets of one feature, with exact zeros, targets at 1e-6 and an infinite forecast at a zero target."""
+    """Random forecasts and targets with exact zeros and targets at 1e-6, and three entries whose |e/y| is not finite.
+
+    An infinite forecast at a zero target opens the first step; a NaN forecast at a zero target and a
+    NaN target sit in the last step (one entry when the last step has one row). Each is masked.
+    """
     rng = np.random.default_rng(seed)
     pred = rng.normal(50.0, 20.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
     target = rng.normal(50.0, 20.0, shape)
@@ -154,6 +158,9 @@ def scoring_block(shape, seed):
     target[pick] = rng.choice([0.0, 1e-6, -1e-6, 1e-6 * (1 + 2**-40)], size=int(pick.sum()))
     target.flat[0] = 0.0
     pred.flat[0] = np.inf
+    target[..., -1, :].flat[0] = 0.0
+    pred[..., -1, :].flat[0] = np.nan
+    target[..., -1, :].flat[-1] = np.nan
     return pred, target
 
 
@@ -164,7 +171,8 @@ def test_error_sums_equals_numpy_sums_on_the_flat_block(shape, mask_epsilon):
     flat = (-1, shape[-2], 1)  # (windows, steps, 1): the blocks the NumPy sums scored
     got = error_sums(pred, target, mask_epsilon)
     np.testing.assert_array_equal(got, reference_error_sums(pred.reshape(flat), target.reshape(flat), mask_epsilon))
-    assert got[0, 0] == np.inf and np.isfinite(got[2]).all()  # the infinite error adds 0 to the |e/y| sum
+    # The infinite and NaN errors add 0 to the |e/y| sum; the NaN ones make the last step's other sums NaN.
+    assert got[0, 0] == np.inf and np.isnan(got[:2, -1]).all() and np.isfinite(got[2]).all()
     # A strided target view scores the bits of its copy.
     view = np.zeros(shape[:-2] + (2 * shape[-2], 1))[..., ::2, :]
     view[...] = target
@@ -180,7 +188,7 @@ def test_error_sums_sums_over_every_axis_but_the_step_axis():
 
 def test_single_step_sums_match_numpy_to_rounding():
     pred, target = scoring_block((55_000, 1, 1), seed=1)
-    pred.flat[0] = 0.0
+    pred.flat[0], target.flat[-1] = 0.0, 50.0  # finite sums, so that rounding is what is compared
     np.testing.assert_allclose(error_sums(pred, target), reference_error_sums(pred, target), rtol=1e-14)
 
 
