@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,9 @@ from .data_io import (
     fit_normalization,
     generate_synthetic,
     load_checkpoint,
+    line_cells,
     load_csv,
+    read_csv_block,
     save_checkpoint,
     save_csv,
 )
@@ -245,51 +248,42 @@ def _forecast_ids(series: TimeSeriesTensor) -> list[str]:
 
 
 _FORECAST_HEADER = "timestamp,node_id,horizon_step,predicted,actual"
-_FORECAST_NUMBERS = (("horizon_step", int), ("predicted", float), ("actual", float))
-
-
-def _forecast_cells(line: str) -> list[str]:
-    """A stripped forecast line's cells: node ids may be quoted, and only a line holding a '"' needs csv's rules."""
-    return next(csv.reader([line])) if '"' in line else line.split(",")
+# The whole row, so a line of 4 or 6 cells fails; the two text cells are counted, not stored.
+_FORECAST_ROW = np.dtype([("timestamp", "U0"), ("node_id", "U0"), ("horizon_step", np.int64), ("predicted", float), ("actual", float)])
+_FORECAST_NUMBERS = _FORECAST_ROW.names[2:]
+# What the C reader takes as an integer: a step it cannot read that matches this is past int64.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _locate_bad_forecast_line(path: str, first_line: int, lines: list[str]) -> None:
     """Raise for the first line of the block that _parse_forecast_block cannot convert, naming its cell."""
     for line_num, line in enumerate(lines, start=first_line):
-        parts = _forecast_cells(line.strip())
-        if len(parts) != 5:
-            raise CsvFormatError(f"{path}:{line_num}: expected 5 cells, got {len(parts)}")
-        for (column, convert), cell in zip(_FORECAST_NUMBERS, parts[2:]):
-            try:
-                value = convert(cell)
-            except ValueError:
-                raise CsvFormatError(f"{path}:{line_num}: column {column!r}: non-numeric cell {cell!r}") from None
-            if convert is int and abs(value) > EXACT_INT_LIMIT:  # the step travels through a float64 table
+        cells = line_cells(line)
+        if cells is None:
+            raise CsvFormatError(f"{path}:{line_num}: a quote is left open at the end of the line")
+        cells = cells or [""]  # a blank line is one empty cell
+        if len(cells) != 5:
+            raise CsvFormatError(f"{path}:{line_num}: expected 5 cells, got {len(cells)}")
+        for k, column in enumerate(_FORECAST_NUMBERS, start=2):
+            value = read_csv_block([line], _FORECAST_ROW[column], usecols=k)
+            # The step travels through a float64 table: an integer past int64 or past 2^53 is beyond it.
+            if column == "horizon_step" and (_INTEGER.fullmatch(cells[k]) if value is None else abs(int(value[0])) > EXACT_INT_LIMIT):
                 raise CsvFormatError(
-                    f"{path}:{line_num}: column {column!r}: integer cell {cell!r} is beyond ±2^53, where float64 skips integers"
+                    f"{path}:{line_num}: column {column!r}: integer cell {cells[k]!r} is beyond ±2^53, where float64 skips integers"
                 )
+            if value is None:
+                raise CsvFormatError(f"{path}:{line_num}: column {column!r}: non-numeric cell {cells[k]!r}")
 
 
 def _parse_forecast_block(path: str, first_line: int, lines: list[str]) -> np.ndarray:
-    """(rows, 3) horizon_step, predicted, actual of a block of forecast lines, each column converted at once.
+    """(rows, 3) horizon_step, predicted, actual of a block of forecast lines, read at once.
 
     Non-finite values pass; the caller checks the whole table.
     """
-    stripped = list(map(str.strip, lines))
-    text = ",".join(stripped)
-    if '"' in text:
-        rows = list(map(_forecast_cells, stripped))
-        cells = list(chain.from_iterable(rows)) if set(map(len, rows)) == {5} else None
-    else:
-        cells = text.split(",") if set(map(str.count, stripped, repeat(","))) == {4} else None
-    if cells is not None:
-        try:
-            columns = [list(map(convert, cells[k::5])) for k, (_, convert) in enumerate(_FORECAST_NUMBERS, start=2)]
-        except ValueError:
-            pass
-        else:
-            if max(map(abs, columns[0])) <= EXACT_INT_LIMIT:  # the steps travel through a float64 table
-                return np.array(columns).T
+    rows = read_csv_block(lines, _FORECAST_ROW)
+    # Bounded on both sides in int64: the steps travel through a float64 table.
+    if rows is not None and -EXACT_INT_LIMIT <= rows["horizon_step"].min() and rows["horizon_step"].max() <= EXACT_INT_LIMIT:
+        return np.column_stack([rows[column] for column in _FORECAST_NUMBERS])  # float64, as the steps are promoted
     _locate_bad_forecast_line(path, first_line, lines)  # raises: some line did not convert
 
 
@@ -310,7 +304,7 @@ def _evaluate_forecast_csv(path: str, mape_epsilon: float) -> list[tuple[str, st
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         row, col = bad[0]
-        column = _FORECAST_NUMBERS[col][0]
+        column = _FORECAST_NUMBERS[col]
         raise CsvFormatError(f"{path}:{row + 2}: column {column!r}: non-finite cell {float(table[row, col])}")
     # A stable sort keeps each step's rows in file order, the order error_sums adds them in;
     # only one step's rows are copied out at a time.

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,8 @@ _MALFORMED_FORECASTS = [
     ("no-rows", "timestamp,node_id,horizon_step,predicted,actual\n", "{path}: no forecast rows"),
     ("short-row", "timestamp,node_id,horizon_step,predicted,actual\n6,a,1,50.0\n", "{path}:2: expected 5 cells, got 4"),
     ("blank-line", "timestamp,node_id,horizon_step,predicted,actual\n6,a,1,50.0,51.0\n\n", "{path}:3: expected 5 cells, got 1"),
+    # At 3 lines a block, the second block holds only blank lines.
+    ("trailing-blank-lines", "\n".join(_FORECAST_ROWS) + "\n\n\n\n", "{path}:5: expected 5 cells, got 1"),
     (
         "rows-that-even-out",
         "timestamp,node_id,horizon_step,predicted,actual\n6,a,1,50.0,51.0,1\n7,2,1,50.0\n",
@@ -344,17 +347,28 @@ _MALFORMED_FORECASTS = [
         'timestamp,node_id,horizon_step,predicted,actual\n"6,a",1,50.0,51.0\n7,"a,b",2,50.5,49.0\n7,a,1,52.0,53.0\n',
         "{path}:2: expected 5 cells, got 4",
     ),
+    # A quote left open at a line's end would run on into the next line; at 3 lines a block,
+    # line 4 is a block's last line, where it would run on unseen.
+    *(
+        (
+            f"open-quote-line-{line}",
+            "\n".join(_FORECAST_ROWS[: line - 1] + ['7,a,1,52.0,"53.0'] + _FORECAST_ROWS[line:] + ["8,a,1,50.0,51.0"]) + "\n",
+            f"{{path}}:{line}: a quote is left open at the end of the line",
+        )
+        for line in (3, 4)
+    ),
 ]
 
 
 @pytest.mark.parametrize("block_cells", [15, freqfilter.data_io.CSV_BLOCK_CELLS])
 @pytest.mark.parametrize("content, message", [c[1:] for c in _MALFORMED_FORECASTS], ids=[c[0] for c in _MALFORMED_FORECASTS])
-def test_malformed_forecast_keeps_its_message(tmp_path, capsys, monkeypatch, block_cells, content, message):
+def test_malformed_forecast_keeps_its_message(tmp_path, capsys, monkeypatch, recwarn, block_cells, content, message):
     monkeypatch.setattr(freqfilter.cli, "CSV_BLOCK_CELLS", block_cells)  # 3 lines per block at 15
     path = tmp_path / "forecast.csv"
     path.write_text(content)
     assert main(["evaluate", "--forecast", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not recwarn.list  # np.loadtxt warns on a block of blank lines; the reader keeps that warning to itself
 
 
 def _predict_and_score(tmp_path, name, node_ids):
@@ -443,8 +457,8 @@ def test_predict_rejects_node_ids_with_line_breaks(tmp_path, capsys, small_ckpt,
 @pytest.mark.parametrize("block_cells", [15, freqfilter.data_io.CSV_BLOCK_CELLS])
 @pytest.mark.parametrize(
     "step",
-    ["9" * 400, str(2**63 - 1), str(2**53 + 1), str(-(2**53) - 1)],
-    ids=["400-digits", "2^63-1", "2^53+1", "-2^53-1"],
+    ["9" * 400, str(2**63), str(2**63 - 1), str(-(2**63)), str(2**53 + 1), str(-(2**53) - 1)],
+    ids=["400-digits", "2^63", "2^63-1", "-2^63", "2^53+1", "-2^53-1"],
 )
 def test_evaluate_forecast_rejects_steps_float64_cannot_hold(tmp_path, capsys, monkeypatch, block_cells, step):
     monkeypatch.setattr(freqfilter.cli, "CSV_BLOCK_CELLS", block_cells)
@@ -455,6 +469,29 @@ def test_evaluate_forecast_rejects_steps_float64_cannot_hold(tmp_path, capsys, m
     assert main(["evaluate", "--forecast", str(path)]) == 1
     message = f"{path}:3: column 'horizon_step': integer cell {step!r} is beyond ±2^53, where float64 skips integers"
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_warning_from_the_c_reader_fails_the_cell(tmp_path, capsys, monkeypatch, recwarn):
+    real_loadtxt = np.loadtxt
+
+    def numpy_1_loadtxt(lines, dtype, **kwargs):
+        """np.loadtxt as NumPy 1.x ran it: an integer field took '1.0' through float, with a warning."""
+        lines = list(lines)
+        if np.dtype(dtype) == np.int64 or "horizon_step" in (np.dtype(dtype).names or ()):
+            read = [line.replace(",1.0,", ",1,") for line in lines]
+            if read != lines:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            lines = read
+        return real_loadtxt(lines, dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
+    rows = list(_FORECAST_ROWS)
+    rows[2] = "7,a,1.0,50.5,49.0"
+    path = tmp_path / "forecast.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["evaluate", "--forecast", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:3: column 'horizon_step': non-numeric cell '1.0'\n"
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("block_cells", [15, freqfilter.data_io.CSV_BLOCK_CELLS])
