@@ -225,7 +225,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     offsets = np.repeat(np.arange(h, h + t, dtype=np.float64), series.n_nodes)  # row timestamp - anchor
     with Path(args.out).open("w") as fh:
         fh.write(_FORECAST_HEADER + "\n")
-        for block, hist, targ in iter_windows(series.values, anchors, h, t):
+        for span, hist, targ in iter_windows(series.values, 0, args.stride, anchors.size, h, t):
+            block = anchors[span]
             preds = forecaster.predict(hist).reshape(block.size, series.n_nodes, t).transpose(0, 2, 1)
             actual = targ.reshape(block.size, series.n_nodes, t).transpose(0, 2, 1)
             for a, pred, act in zip(block, preds, actual):

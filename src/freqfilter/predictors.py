@@ -168,6 +168,8 @@ class FilterPredictorState:
             raise ValueError(
                 f"history, horizon, features and width must be >= 1, got {history}, {horizon}, {features}, {width}"
             )
+        if norm is not None and norm.mean.size != features:
+            raise ValueError(f"normalization statistics have {norm.mean.size} features, the predictor {features}")
         self.history = history
         self.horizon = horizon
         self.features = features
@@ -363,28 +365,19 @@ def _window_view(values: np.ndarray, first: int, stride: int, n_anchors: int, le
     )
 
 
-def _anchor_blocks(n_anchors: int, n_nodes: int):
-    """Slices of consecutive anchors of at most WINDOW_BLOCK windows (one anchor at least)."""
-    per_block = max(1, WINDOW_BLOCK // n_nodes)
-    for lo in range(0, n_anchors, per_block):
-        yield slice(lo, lo + per_block)
+def iter_windows(values: np.ndarray, first: int, stride: int, n_anchors: int, history: int, horizon: int):
+    """Yield (span, histories, targets) per block of at most WINDOW_BLOCK windows (one anchor at least).
 
-
-def iter_windows(values: np.ndarray, anchors: np.ndarray, history: int, horizon: int):
-    """Yield (anchors, histories, targets) per block of at most WINDOW_BLOCK windows (one anchor at least).
-
-    Histories and targets have shape (anchors, nodes, steps, features); both are
-    slices of strided read-only views of values, so nothing is copied.
-    The anchors must be evenly spaced.
+    The windows' histories start at steps first + i * stride, i < n_anchors, and span is the
+    block's slice of those anchors. Histories and targets have shape (anchors, nodes, steps,
+    features); both are slices of strided read-only views of values, so nothing is copied.
     """
-    stride = int(anchors[1] - anchors[0]) if anchors.size > 1 else 1
-    if stride < 1 or np.any(np.diff(anchors) != stride):
-        raise ValueError("window anchors must be increasing and evenly spaced")
-    first = int(anchors[0]) if anchors.size else 0
-    histories = _window_view(values, first, stride, anchors.size, history)
-    targets = _window_view(values, first + history, stride, anchors.size, horizon)
-    for span in _anchor_blocks(anchors.size, values.shape[0]):
-        yield anchors[span], histories[span], targets[span]
+    histories = _window_view(values, first, stride, n_anchors, history)
+    targets = _window_view(values, first + history, stride, n_anchors, horizon)
+    per_block = max(1, WINDOW_BLOCK // values.shape[0])
+    for lo in range(0, n_anchors, per_block):
+        span = slice(lo, lo + per_block)
+        yield span, histories[span], targets[span]
 
 
 def rolling_evaluate(
@@ -408,7 +401,6 @@ def rolling_evaluate(
     """
     values = series.values
     anchors = window_anchors(values.shape[1], history, horizon, stride)
-    targets = _window_view(values, history, stride, anchors.size, horizon)  # the first anchor is 0
     if predecessor_mode:
         transform = getattr(predictor, "transform_series", None)
         if transform is None:
@@ -425,17 +417,16 @@ def rolling_evaluate(
     # 141k operations instead of 39k and read peak_rss_mb 104.1 MB instead of 70.5 (+48%). Drop
     # this gather once perfbench aggregates its records and a rerun keeps peak_rss_mb in bound.
     folded = isinstance(predictor, AffineForecaster)
-    views = _window_view(values, 0, stride, anchors.size, history) if folded else None
     nodes = np.arange(values.shape[0])
     sums = 0.0
-    for span in _anchor_blocks(anchors.size, values.shape[0]):
-        target = targets[span]
+    for span, histories, targets in iter_windows(values, 0, stride, anchors.size, history, horizon):
         if predecessor_mode:
             preds = predecessors[span]
         else:
-            histories = views[span] if folded else _gather(values, nodes, anchors[span, None], history)
+            if not folded:
+                histories = _gather(values, nodes, anchors[span, None], history)
             preds = np.asarray(predictor.predict(histories))
-            if preds.shape != target.shape:
-                raise ValueError(f"predictor returned shape {preds.shape}, expected {target.shape}")
-        sums += error_sums(preds, target, mape_epsilon)
+            if preds.shape != targets.shape:
+                raise ValueError(f"predictor returned shape {preds.shape}, expected {targets.shape}")
+        sums += error_sums(preds, targets, mape_epsilon)
     return RollingReport(*reports_from_sums(sums), series.interval_seconds)

@@ -141,11 +141,6 @@ def adam_step(
     """One bias-corrected moment update, in place on param/m/v."""
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient passed to adam_step")
-    _adam_update(param, grad, m, v, step, lr)
-
-
-def _adam_update(param, grad, m, v, step, lr) -> None:
-    """adam_step without its finite check, for a caller that has checked grad already."""
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
@@ -179,9 +174,12 @@ class Adam:
         self.v = np.zeros_like(state.params)
 
     def step(self) -> None:
-        _check_gradients(self.state)
+        try:
+            adam_step(self.state.params, self.state.grads, self.m, self.v, self.step_count + 1, self.lr)
+        except FloatingPointError:
+            _check_gradients(self.state)  # names the slot when the gradient was what failed
+            raise
         self.step_count += 1
-        _adam_update(self.state.params, self.state.grads, self.m, self.v, self.step_count, self.lr)
         self.state.apply_pins()
 
 
@@ -219,7 +217,8 @@ def evaluate_loss(state, data: WindowedDataset, split: str) -> float:
     if data.n_samples(split) == 0:
         return float("nan")
     forecaster = state.fold()
-    windows = iter_windows(data.values, data.split_anchors[split], data.history, data.horizon)
+    first = data.split_ranges[split][0]
+    windows = iter_windows(data.values, first, 1, data.n_windows(split), data.history, data.horizon)
     sums = sum(error_sums(forecaster.predict(histories), targets) for _, histories, targets in windows)
     return reports_from_sums(sums)[1].mae
 

@@ -10,10 +10,19 @@ from hypothesis import strategies as st
 import freqfilter.cli
 import freqfilter.data_io
 import freqfilter.predictors
+import freqfilter.training
 from freqfilter.cli import main
 from freqfilter.data_io import NormStats, load_checkpoint, load_csv, save_checkpoint, save_csv
-from freqfilter.predictors import FilterPredictorState, iter_windows, window_anchors
+from freqfilter.predictors import (
+    CopyLastStepPredictor,
+    FilteredCopyLastStepPredictor,
+    FilterPredictorState,
+    iter_windows,
+    rolling_evaluate,
+    window_anchors,
+)
 from freqfilter.tensor import TimeSeriesTensor
+from freqfilter.training import evaluate_loss, make_windows
 from freqfilter.filters import smooth
 
 from csv_blocks import blocks, no_locator
@@ -124,7 +133,9 @@ def forecast_csv_by_rows(state, series, stride):
     h, t = state.history, state.horizon
     forecaster = state.fold()
     lines = ["timestamp,node_id,horizon_step,predicted,actual\n"]
-    for block, hist, targ in iter_windows(series.values, window_anchors(series.n_steps, h, t, stride), h, t):
+    anchors = window_anchors(series.n_steps, h, t, stride)
+    for span, hist, targ in iter_windows(series.values, 0, stride, anchors.size, h, t):
+        block = anchors[span]
         preds = forecaster.predict(hist).reshape(block.size, series.n_nodes, t, -1)
         for a, pred, act in zip(block, preds, targ.reshape(preds.shape)):
             for step in range(t):
@@ -168,6 +179,42 @@ def test_predict_reads_histories_without_a_gather(tmp_path, small_csv, small_ckp
     out = tmp_path / "forecast.csv"
     assert main(["predict", "--checkpoint", str(small_ckpt), "--data", str(small_csv), "--out", str(out), "--stride", "5"]) == 0
     assert out.read_bytes() == expected
+
+
+def test_every_scorer_takes_its_blocks_from_iter_windows(tmp_path, small_csv, small_ckpt, monkeypatch):
+    monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 6)  # 3 anchors of 2 nodes per block
+    spans = []
+
+    def spy(*args):
+        for block in iter_windows(*args):
+            spans.append(block[0])
+            yield block
+
+    for module in (freqfilter.predictors, freqfilter.training, freqfilter.cli):
+        monkeypatch.setattr(module, "iter_windows", spy)
+
+    def blocks_of(n_anchors):
+        return [slice(lo, lo + 3) for lo in range(0, n_anchors, 3)]
+
+    series = load_csv(small_csv)
+    state = load_checkpoint(small_ckpt)
+    h, t = state.history, state.horizon
+    scorers = [
+        lambda: rolling_evaluate(CopyLastStepPredictor(t), series, h, t, stride=5),
+        lambda: rolling_evaluate(state, series, h, t, stride=5),
+        lambda: rolling_evaluate(FilteredCopyLastStepPredictor(t), series, h, t, stride=5, predecessor_mode=True),
+        lambda: main(["predict", "--checkpoint", str(small_ckpt), "--data", str(small_csv),
+                      "--out", str(tmp_path / "forecast.csv"), "--stride", "5"]),
+    ]
+    for score in scorers:
+        spans.clear()
+        score()
+        assert spans == blocks_of(window_anchors(series.n_steps, h, t, 5).size)
+
+    data = make_windows(series, h, t, (0.6, 0.2, 0.2))
+    spans.clear()
+    evaluate_loss(state, data, "val")
+    assert spans == blocks_of(data.n_windows("val"))
 
 
 _SCORING_COMMANDS = pytest.mark.parametrize(

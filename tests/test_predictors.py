@@ -164,6 +164,10 @@ class TestFilterPredictor:
         with pytest.raises(ValueError, match="width"):
             FilterPredictorState.initialize(8, 4, 3, 2)
 
+    def test_normalization_of_another_feature_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^normalization statistics have 2 features, the predictor 1$"):
+            FilterPredictorState.initialize(6, 3, 1, 2, NormStats([0.0, 0.0], [1.0, 1.0]))
+
     def test_wrong_history_shape_names_expectation(self):
         state = self.make_state()
         with pytest.raises(ValueError, match=r"\(12, 1\)"):
@@ -512,11 +516,6 @@ class TestRollingEvaluate:
         with pytest.raises(ValueError, match=r"^22 windows of 3 steps from step 5 run past a series of 28 steps$"):
             rolling_evaluate(ShortTransform(3), ramp_series(n_steps=30), 6, 3, predecessor_mode=True)
 
-    @pytest.mark.parametrize("anchors", [[0, 1, 3], [4, 2, 0], [3, 3]])
-    def test_windows_need_evenly_spaced_anchors(self, anchors):
-        with pytest.raises(ValueError, match="^window anchors must be increasing and evenly spaced$"):
-            next(freqfilter.predictors.iter_windows(np.zeros((2, 30, 1)), np.array(anchors), 6, 3))
-
     def test_step_minutes_follow_interval(self):
         series = ramp_series(n_steps=40)
         report = rolling_evaluate(CopyLastStepPredictor(3), series, 6, 3)
@@ -640,9 +639,9 @@ class TestRollingEvaluate:
         anchors = freqfilter.predictors.window_anchors(70, history, horizon, 1)
         sums = 0.0
         nodes = np.arange(3)
-        for block, _, targets in freqfilter.predictors.iter_windows(series.values, anchors, history, horizon):
+        for span, _, targets in freqfilter.predictors.iter_windows(series.values, 0, 1, anchors.size, history, horizon):
             sums += freqfilter.predictors.error_sums(
-                freqfilter.predictors._gather(source, nodes, block[:, None] + history - 1, horizon), targets
+                freqfilter.predictors._gather(source, nodes, anchors[span, None] + history - 1, horizon), targets
             )
         previous = freqfilter.predictors.RollingReport(
             *freqfilter.predictors.reports_from_sums(sums), series.interval_seconds

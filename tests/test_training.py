@@ -209,6 +209,22 @@ def test_adam_names_the_slot_with_a_non_finite_gradient():
     assert not opt.m.any() and not opt.v.any()
 
 
+def test_adam_steps_through_the_public_update(monkeypatch):
+    steps = []
+
+    def spy(param, grad, m, v, step, lr):
+        steps.append(step)
+        adam_step(param, grad, m, v, step, lr)
+
+    monkeypatch.setattr(freqfilter.training, "adam_step", spy)
+    state = FilterPredictorState.initialize(8, 2, 1, 2)
+    state.grads[...] = 1.0
+    opt = Adam(state, lr=0.1)
+    opt.step()
+    opt.step()
+    assert steps == [1, 2] and opt.step_count == 2
+
+
 class PerSlotAdam:
     """Adam as one update per parameter slot, each with its own moments: the reference for the buffer update."""
 
