@@ -26,14 +26,7 @@ from .predictors import (
     copy_last_step,
     rolling_evaluate,
 )
-from .spectral import (
-    circular_convolve,
-    dft_reference,
-    idft_reference,
-    irfft,
-    rfft,
-    spectrum_to_full,
-)
+from .spectral import irfft, rfft
 from .tensor import TimeSeriesTensor, slice_window
 from .training import (
     TrainConfig,
@@ -68,14 +61,11 @@ __all__ = [
     "TrainingLog",
     "WindowedDataset",
     "adam_step",
-    "circular_convolve",
     "compute_metrics",
     "copy_last_step",
-    "dft_reference",
     "filter_forward",
     "fit_normalization",
     "generate_synthetic",
-    "idft_reference",
     "irfft",
     "load_checkpoint",
     "load_csv",
@@ -90,6 +80,5 @@ __all__ = [
     "save_csv",
     "slice_window",
     "smooth",
-    "spectrum_to_full",
     "train",
 ]

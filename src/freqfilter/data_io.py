@@ -360,9 +360,9 @@ def fit_normalization(series: TimeSeriesTensor, train_range: tuple[int, int]) ->
     return NormStats(mean, std)
 
 
-# Checkpoint format v1: magic, version, shape header, optional norm stats,
-# then the parameter payloads as little-endian float64, in the order and
-# shapes of predictors.parameter_layout.
+# Checkpoint format v1: magic, version, shape header, a normalization flag
+# byte (always 1) and the norm stats, then the parameter payloads as
+# little-endian float64, in the order and shapes of predictors.parameter_layout.
 
 CHECKPOINT_MAGIC = b"FQFCHKPT"
 CHECKPOINT_VERSION = 1
@@ -391,12 +391,9 @@ def save_checkpoint(state, path) -> None:
     chunks.append(
         _HEADER.pack(state.history, state.horizon, state.features, state.width, half_length(state.history))
     )
-    if state.norm is None:
-        chunks.append(struct.pack("<B", 0))
-    else:
-        chunks.append(struct.pack("<B", 1))
-        chunks.append(np.ascontiguousarray(state.norm.mean, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(state.norm.std, dtype="<f8").tobytes())
+    chunks.append(struct.pack("<B", 1))
+    chunks.append(np.ascontiguousarray(state.norm.mean, dtype="<f8").tobytes())
+    chunks.append(np.ascontiguousarray(state.norm.std, dtype="<f8").tobytes())
     chunks.append(state.params.astype("<f8", copy=False).tobytes())  # already in payload order
     Path(path).write_bytes(b"".join(chunks))
 
@@ -446,27 +443,24 @@ def load_checkpoint(path):
             f"header n_half={n_half} inconsistent with history={history} (expected {half_length(history)})"
         )
     flag_offset = cur.pos
-    (has_norm,) = struct.unpack("<B", cur.take(1, "normalization flag"))
-    if has_norm > 1:  # save_checkpoint writes only 0 or 1, so any other byte would not re-save as read
-        raise CheckpointError(f"normalization flag {has_norm} at byte offset {flag_offset} is neither 0 nor 1")
+    (flag,) = struct.unpack("<B", cur.take(1, "normalization flag"))
+    if flag != 1:  # every predictor has its normalization, so save_checkpoint always writes 1
+        raise CheckpointError(f"normalization flag {flag} at byte offset {flag_offset} is not 1")
 
-    norm_slots = (("normalization mean", (features,)), ("normalization std", (features,))) if has_norm else ()
-    slots = norm_slots + parameter_layout(history, horizon, features, width)
+    slots = (("normalization mean", (features,)), ("normalization std", (features,)))
+    slots += parameter_layout(history, horizon, features, width)
     arrays = [cur.take_array(shape, what) for what, shape in slots]
     if cur.pos != len(data):
         raise CheckpointError(f"{len(data) - cur.pos} trailing bytes after the last parameter payload")
     for (what, _), arr in zip(slots, arrays):
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"{what} contains NaN or Inf entries")
-    norm = None
-    if has_norm:
-        mean, std = arrays[:2]
-        if np.any(std <= 0):
-            raise CheckpointError("normalization std has non-positive entries")
-        norm = NormStats(mean, std)
+    mean, std = arrays[:2]
+    if np.any(std <= 0):
+        raise CheckpointError("normalization std has non-positive entries")
 
-    state = FilterPredictorState(history, horizon, features, width, norm)
-    state.params[...] = np.concatenate([arr.ravel() for arr in arrays[len(norm_slots) :]])
+    state = FilterPredictorState(history, horizon, features, width, NormStats(mean, std))
+    state.params[...] = np.concatenate([arr.ravel() for arr in arrays[2:]])
     if np.any(state.params[state.pin_mask]):
         raise CheckpointError("filter.kernel.im is nonzero at a pinned boundary bin")
     return state

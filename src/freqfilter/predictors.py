@@ -158,23 +158,24 @@ class FilterPredictorState:
     The parameters live in one float64 buffer `params`, laid out by
     parameter_layout, beside `grads` and a boolean `pin_mask` of its
     size. lift_weight, lift_bias, k_re, k_im, readout_weight and readout_bias
-    are views into `params`. The pinned entries are the imaginary parts at
-    bin 0 and at the Nyquist bin (even histories): those frequencies must stay
-    real for the filtered spectrum to invert to a real sequence.
+    are views into `params`. The pullback and apply_pins hold every entry set
+    in `pin_mask` at 0; at construction those are the imaginary parts at bin 0
+    and at the Nyquist bin (even histories): those frequencies must stay real
+    for the filtered spectrum to invert to a real sequence.
     """
 
-    def __init__(self, history: int, horizon: int, features: int, width: int, norm: "NormStats | None"):
+    def __init__(self, history: int, horizon: int, features: int, width: int, norm: "NormStats"):
         if min(history, horizon, features, width) < 1:
             raise ValueError(
                 f"history, horizon, features and width must be >= 1, got {history}, {horizon}, {features}, {width}"
             )
-        if norm is not None and norm.mean.size != features:
+        if norm.mean.size != features:
             raise ValueError(f"normalization statistics have {norm.mean.size} features, the predictor {features}")
         self.history = history
         self.horizon = horizon
         self.features = features
         self.width = width
-        self.norm = norm
+        self._norm = norm
         self._layout = []  # (slot name, slice of the buffers, shape)
         start = 0
         for name, shape in parameter_layout(history, horizon, features, width):
@@ -187,7 +188,6 @@ class FilterPredictorState:
          self.readout_weight, self.readout_bias) = self._views(self.params)
         pinned_rows = [0, history // 2] if history % 2 == 0 else [0]
         self._views(self.pin_mask)[3][pinned_rows] = True  # rows of the kernel's imaginary plane
-        self._pinned = np.flatnonzero(self.pin_mask)
 
     def _views(self, buffer: np.ndarray) -> list[np.ndarray]:
         return [buffer[span].reshape(shape) for _, span, shape in self._layout]
@@ -199,7 +199,7 @@ class FilterPredictorState:
         horizon: int,
         n_features: int,
         width: int,
-        norm: "NormStats | None" = None,
+        norm: "NormStats",
         seed: int = 0,
     ) -> "FilterPredictorState":
         """Identity-style init: embed the input features, pass extra channels through zero.
@@ -228,18 +228,17 @@ class FilterPredictorState:
         """The kernel as one complex (n_half, width) array, built from the two parameter planes."""
         return self.k_re + 1j * self.k_im
 
-    def _require_norm(self) -> "NormStats":
-        if self.norm is None:
-            raise ValueError("normalization statistics are not fitted; supply NormStats before predicting")
-        return self.norm
+    @property
+    def norm(self) -> "NormStats":
+        """The z-score statistics; read-only, so the construction check is the only way in."""
+        return self._norm
 
     def forward(self, histories) -> np.ndarray:
         """Run the layers one after another: the direct evaluation that fold() is tested against."""
-        norm = self._require_norm()
         x = check_window_shape(histories, self.history, self.features, "history")
-        filtered = filter_forward(self, norm.apply(x))
+        filtered = filter_forward(self, self.norm.apply(x))
         block = filtered.reshape(-1, self.history * self.width) @ self.readout_weight + self.readout_bias
-        return norm.invert(block.reshape(x.shape[:-2] + (self.horizon, self.features)))
+        return self.norm.invert(block.reshape(x.shape[:-2] + (self.horizon, self.features)))
 
     def fold(self) -> AffineForecaster:
         """The predictor as one affine map in original units; see fold_and_pullback."""
@@ -261,12 +260,12 @@ class FilterPredictorState:
 
         pullback(histories, grad_out) takes the gradient of a loss w.r.t. the
         forecasts of those histories, overwrites every parameter slot's
-        gradient buffer (pinned imaginary bins exactly 0) and returns the
+        gradient buffer (entries set in pin_mask exactly 0) and returns the
         gradient w.r.t. the histories. It reuses the spectra above and costs
         one rfft over features * horizon * features columns and one irfft
         over width * horizon * features columns, whatever the batch.
         """
-        norm = self._require_norm()
+        norm = self.norm
         h, d, f, out = self.history, self.width, self.features, self.horizon * self.features
         # (n_half, outputs, width): one readout column per (output, channel) pair.
         spectrum = rfft(self.readout_weight.reshape(h, d, out).transpose(0, 2, 1))
@@ -301,7 +300,7 @@ class FilterPredictorState:
             grads = (g_lift_weight, g_lift_bias, g_kernel.real, g_kernel.imag, g_readout_weight, g_bias)
             for view, grad in zip(self._views(self.grads), grads):
                 view[...] = grad
-            self.grads[self._pinned] = 0.0
+            self.grads[self.pin_mask] = 0.0
             return (g_block @ weight.T).reshape(x.shape) / norm.std
 
         return forecaster, pullback
@@ -317,8 +316,8 @@ class FilterPredictorState:
 
     def apply_pins(self) -> None:
         """Zero the pinned entries of the parameters and of their gradients."""
-        self.params[self._pinned] = 0.0
-        self.grads[self._pinned] = 0.0
+        self.params[self.pin_mask] = 0.0
+        self.grads[self.pin_mask] = 0.0
 
 
 @dataclass(frozen=True)

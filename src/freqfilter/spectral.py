@@ -1,4 +1,4 @@
-"""Discrete Fourier transforms on half spectra, plus reference oracles.
+"""Discrete Fourier transforms on half spectra.
 
 Conventions: the forward transform carries no scale factor and uses the
 e^{-i 2 pi n k / N} kernel; the inverse carries the 1/N factor. Real windows
@@ -9,36 +9,12 @@ than one whose imaginary residue has to be discarded by convention. The bin
 count fixes n only up to parity, so `irfft` takes the window length too.
 
 `rfft`/`irfft` are NumPy's real-input transforms along axis 0 (pocketfft,
-O(n log n) for every n), whose default normalisation is the convention
-above. The O(n^2) `dft_reference`/`idft_reference` and `circular_convolve`
-are independent oracles they are tested against.
+O(n log n) for every n), whose default normalisation is the convention above.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def dft_reference(x) -> np.ndarray:
-    """Direct O(n^2) DFT of a 1-D sequence; the oracle the fast path is tested against."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("dft_reference expects a non-empty 1-D sequence")
-    n = x.size
-    k = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return kernel @ x.astype(np.complex128)
-
-
-def idft_reference(spectrum) -> np.ndarray:
-    """Direct inverse DFT with the 1/n factor; inverse of dft_reference."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.ndim != 1 or spectrum.size == 0:
-        raise ValueError("idft_reference expects a non-empty 1-D sequence")
-    n = spectrum.size
-    k = np.arange(n)
-    kernel = np.exp(2j * np.pi * np.outer(k, k) / n)
-    return (kernel @ spectrum) / n
 
 
 def half_length(n: int) -> int:
@@ -79,15 +55,6 @@ def rfft(x) -> np.ndarray:
     return np.fft.rfft(x.reshape(n, -1), axis=0).reshape((half_length(n),) + x.shape[1:])
 
 
-def spectrum_to_full(half, n: int) -> np.ndarray:
-    """Full complex spectrum implied by the half spectrum's conjugate symmetry."""
-    half = np.asarray(half, dtype=np.complex128)
-    _check_half_spectrum(half, n)
-    # Bins n-1 down to n//2+1 are the conjugates of bins 1 up to (n-1)//2.
-    mirrored = np.conj(half[1 : (n - 1) // 2 + 1][::-1])
-    return np.concatenate([half, mirrored])
-
-
 def irfft(half, n: int) -> np.ndarray:
     """Real window of length n recovered from its half spectrum (1/n-scaled inverse).
 
@@ -99,25 +66,3 @@ def irfft(half, n: int) -> np.ndarray:
     _check_half_spectrum(half, n)
     x = np.fft.irfft(half.reshape(half.shape[0], -1), n=n, axis=0)
     return x.reshape((n,) + half.shape[1:])
-
-
-def circular_convolve(x, k) -> np.ndarray:
-    """Cyclic convolution (x * k)[m] = sum_i x[i] k[(m - i) mod n].
-
-    Direct O(n^2) evaluation; kept as the time-domain oracle for the
-    frequency-domain kernel-multiplication path, not used in hot loops.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if x.ndim != 1 or k.ndim != 1:
-        raise ValueError("circular_convolve expects 1-D sequences")
-    if x.shape[0] != k.shape[0]:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {k.shape[0]}")
-    n = x.shape[0]
-    out = np.zeros(n)
-    for m in range(n):
-        acc = 0.0
-        for i in range(n):
-            acc += x[i] * k[(m - i) % n]
-        out[m] = acc
-    return out

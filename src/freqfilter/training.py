@@ -209,7 +209,8 @@ class TrainingLog:
         return "\n".join(lines) + "\n"
 
     def final_val_loss(self) -> float:
-        return self.entries[-1][2]
+        """Validation loss of the parameters train returned: the best epoch's after an early stop."""
+        return self.entries[self.best_epoch if self.stopped_early else -1][2]
 
 
 def evaluate_loss(state, data: WindowedDataset, split: str) -> float:

@@ -16,6 +16,7 @@ import freqfilter.training
 from freqfilter.spectral import half_length
 
 from numgrad import central_difference, max_relative_error
+from spectral_reference import circular_convolve, dft_reference
 
 METR_LA_CSV = os.environ.get("METR_LA_CSV", "data/metr_la.csv")
 
@@ -89,7 +90,7 @@ def test_criterion_1_spectral_correctness():
         for _ in range(20):
             x = rng.standard_normal(n)
             spectrum = ff.rfft(x)
-            reference = ff.dft_reference(x)[: half_length(n)]
+            reference = dft_reference(x)[: half_length(n)]
             fwd = float(np.max(np.abs(spectrum - reference)))
             rt = float(np.max(np.abs(ff.irfft(spectrum, n) - x)))
             worst_fwd = max(worst_fwd, fwd / n)
@@ -114,7 +115,7 @@ def test_criterion_2_convolution_theorem():
             x = rng.standard_normal(n)
             k = rng.standard_normal(n)
             via_fft = ff.irfft(ff.rfft(x) * ff.rfft(k), n)
-            direct = ff.circular_convolve(x, k)
+            direct = circular_convolve(x, k)
             err = float(np.max(np.abs(via_fft - direct)))
             worst = max(worst, err)
             assert err <= 1e-8, (n, err)

@@ -610,6 +610,24 @@ def test_train_with_seed_list_reports_spread(tmp_path, small_csv, capsys):
     assert ckpt.with_suffix(ckpt.suffix + ".seed2").exists()
 
 
+def test_train_prints_the_val_mae_of_the_saved_parameters_after_an_early_stop(tmp_path, capsys):
+    data, ckpt = tmp_path / "data.csv", tmp_path / "model.ckpt"
+    assert main(["generate", "--out", str(data), "--nodes", "3", "--days", "6", "--seed", "2"]) == 0
+    capsys.readouterr()
+    run = ["train", "--data", str(data), "--epochs", "40", "--patience", "1", "--lr", "3e-3"]
+    assert main(run + ["--checkpoint", str(ckpt), "--seeds", "1,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    windows = make_windows(load_csv(data), 12, 12, (0.7, 0.1, 0.2))
+    saved = []
+    for seed, line in zip((1, 2), lines):
+        path = tmp_path / f"model.ckpt.seed{seed}"
+        saved.append(evaluate_loss(load_checkpoint(path), windows, "val"))
+        last_epoch = (tmp_path / f"model.ckpt.seed{seed}.log").read_text().splitlines()[-1].split()
+        assert float(last_epoch[2]) > saved[-1]  # stopped early: the last epoch is not the one saved
+        assert line == f"seed {seed}: {last_epoch[0]} epochs, final val MAE {saved[-1]:.4f} -> {path}"
+    assert lines[2] == f"val MAE over 2 seeds: mean {np.mean(saved):.4f} +/- {np.std(saved):.4f}"
+
+
 def test_train_seed_list_with_a_log_path_writes_one_log_per_seed(tmp_path, small_csv):
     ckpt, log = tmp_path / "model.ckpt", tmp_path / "run.log"
     assert main([

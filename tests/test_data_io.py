@@ -31,6 +31,7 @@ from freqfilter.data_io import (
     generate_synthetic,
     load_checkpoint,
     load_csv,
+    _Cursor,
     save_checkpoint,
     save_csv,
 )
@@ -706,18 +707,25 @@ class TestCheckpoints:
             load_checkpoint(broken)
 
     def test_huge_header_dimensions_report_truncation(self, tmp_path, monkeypatch):
-        # features * width = (2**32 - 1)**2 overflows int64; counted as such it
-        # would make the reader step backwards instead of reporting truncation.
         # The sizes are checked against the file before any state is built.
         def no_state(*args):
             raise AssertionError("load_checkpoint built a state for a truncated file")
 
         monkeypatch.setattr(FilterPredictorState, "__init__", no_state)
-        header = struct.pack("<I5IB", CHECKPOINT_VERSION, 12, 12, 2**32 - 1, 2**32 - 1, 7, 0)
+        header = struct.pack("<I5IB", CHECKPOINT_VERSION, 12, 12, 2**32 - 1, 2**32 - 1, 7, 1)
         path = tmp_path / "huge.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + header + b"\x00" * 64)
-        with pytest.raises(CheckpointTruncatedError, match=r"^checkpoint truncated while reading filter\.lift\.weight: "):
+        with pytest.raises(CheckpointTruncatedError, match=r"^checkpoint truncated while reading normalization mean: "):
             load_checkpoint(path)
+
+    def test_payload_size_of_huge_dimensions_is_counted_without_overflow(self):
+        # (2**32 - 1)**2 values overflow int64; counted as such, the reader
+        # would step backwards instead of reporting truncation.
+        cursor = _Cursor(b"\x00" * 64)
+        need = (2**32 - 1) ** 2 * 8
+        message = rf"^checkpoint truncated while reading slot: need {need} bytes at offset 0, have 64$"
+        with pytest.raises(CheckpointTruncatedError, match=message):
+            cursor.take_array((2**32 - 1, 2**32 - 1), "slot")
 
     def test_history_mismatch_surfaces_at_prediction(self, tmp_path):
         state = trained_like_state()
@@ -772,15 +780,19 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=f"^{re.escape(named)} "):
             load_checkpoint(path)
 
-    def test_checkpoint_without_norm_stats(self, tmp_path):
-        state = FilterPredictorState.initialize(8, 4, 1, 2, norm=None)
+    def test_checkpoint_without_norm_stats_rejected(self, tmp_path):
+        # The layout once written for a predictor without normalization: flag 0, no stats, then the payload.
+        state = trained_like_state()
         path = tmp_path / "nonorm.ckpt"
         save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        assert loaded.norm is None
+        offset = len(CHECKPOINT_MAGIC) + 4 + 20  # magic, u32 version, five u32 dimensions, then the flag
+        data = path.read_bytes()
+        path.write_bytes(data[:offset] + b"\x00" + data[offset + 1 + 2 * 8 * state.features :])
+        with pytest.raises(CheckpointError, match=r"^normalization flag 0 at byte offset 32 is not 1$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("flag", [2, 255])
-    def test_normalization_flag_other_than_0_or_1_rejected(self, tmp_path, flag):
+    def test_normalization_flag_other_than_1_rejected(self, tmp_path, flag):
         path = tmp_path / "model.ckpt"
         save_checkpoint(trained_like_state(), path)
         data = bytearray(path.read_bytes())
@@ -788,7 +800,7 @@ class TestCheckpoints:
         assert data[offset] == 1
         data[offset] = flag
         path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match=rf"^normalization flag {flag} at byte offset 32 is neither 0 nor 1$"):
+        with pytest.raises(CheckpointError, match=rf"^normalization flag {flag} at byte offset 32 is not 1$"):
             load_checkpoint(path)
 
     def test_zero_history_in_header_rejected(self, tmp_path):

@@ -4,9 +4,10 @@ import pytest
 from freqfilter.data_io import NormStats
 from freqfilter.filters import filter_forward, moving_average, smooth
 from freqfilter.predictors import FilterPredictorState
-from freqfilter.spectral import circular_convolve, irfft
+from freqfilter.spectral import irfft
 
 from numgrad import central_difference, max_relative_error
+from spectral_reference import circular_convolve
 
 
 class TestMovingAverage:
@@ -266,7 +267,7 @@ class TestKernelInvariants:
             assert state.pin_mask.sum() == im.pin_mask.sum()  # nothing outside the imaginary plane
 
     def test_identity_initialization(self):
-        state = FilterPredictorState.initialize(10, 2, 3, 3)
+        state = FilterPredictorState.initialize(10, 2, 3, 3, NormStats(np.zeros(3), np.ones(3)))
         np.testing.assert_array_equal(state.k_re, np.ones((6, 3)))
         np.testing.assert_array_equal(state.k_im, np.zeros((6, 3)))
         np.testing.assert_array_equal(state.lift_weight, np.eye(3))

@@ -155,14 +155,22 @@ class TestFilterPredictor:
         batch = state.predict(h[None])
         np.testing.assert_allclose(single, batch[0], atol=1e-12)
 
-    def test_unfitted_normalization_rejected(self):
-        state = FilterPredictorState.initialize(12, 12, 1, 4, norm=None)
-        with pytest.raises(ValueError, match="normalization"):
-            state.predict(np.zeros((12, 1)))
+    def test_normalization_is_required(self):
+        with pytest.raises(TypeError, match="norm"):
+            FilterPredictorState.initialize(12, 12, 1, 4)
+        with pytest.raises(TypeError, match="norm"):
+            FilterPredictorState(12, 12, 1, 4)
+
+    def test_normalization_cannot_be_reassigned(self):
+        state = self.make_state()
+        norm = state.norm
+        with pytest.raises(AttributeError):
+            state.norm = NormStats([0.0, 0.0], [1.0, 1.0])
+        assert state.norm is norm
 
     def test_width_below_features_rejected(self):
         with pytest.raises(ValueError, match="width"):
-            FilterPredictorState.initialize(8, 4, 3, 2)
+            FilterPredictorState.initialize(8, 4, 3, 2, NormStats(np.zeros(3), np.ones(3)))
 
     def test_normalization_of_another_feature_count_rejected(self):
         with pytest.raises(ValueError, match=r"^normalization statistics have 2 features, the predictor 1$"):
@@ -219,9 +227,10 @@ class TestLeadingAxes:
             pullback(self.histories, np.zeros((6, 3, 2)))
 
 
-def perturbed_state(history, horizon, features, width, seed=0, scale=0.3):
+def perturbed_state(history, horizon, features, width, seed=0, scale=0.3, norm=None):
     rng = np.random.default_rng(seed)
-    norm = NormStats(rng.normal(50.0, 5.0, features), rng.uniform(1.0, 10.0, features))
+    if norm is None:
+        norm = NormStats(rng.normal(50.0, 5.0, features), rng.uniform(1.0, 10.0, features))
     state = FilterPredictorState.initialize(history, horizon, features, width, norm, seed=seed)
     for slot in state.parameters():
         slot.value += rng.normal(0.0, scale, slot.value.shape)
@@ -287,8 +296,8 @@ class TestFold:
         assert relative_error(state.fold().predict(histories), copied) <= 1e-12
 
     def test_folded_map_works_in_original_units_for_features_of_different_scales(self):
-        state = perturbed_state(8, 3, 2, 3, seed=8)
-        state.norm = NormStats([50.0, 0.2], [10.0, 0.05])  # std_out / std_in is 200 or 1/200 across features
+        # std_out / std_in is 200 or 1/200 across features
+        state = perturbed_state(8, 3, 2, 3, seed=8, norm=NormStats([50.0, 0.2], [10.0, 0.05]))
         histories = np.random.default_rng(8).normal(state.norm.mean, state.norm.std, (4, 5, 8, 2))
         forecaster = state.fold()
         assert not hasattr(forecaster, "norm")
@@ -304,10 +313,13 @@ class TestFold:
         state.predict(histories)
         assert transform_calls == [("rfft", width * horizon * features), ("irfft", features * horizon * features)]
 
-    def test_fold_requires_normalization(self):
-        state = FilterPredictorState.initialize(6, 3, 1, 2, norm=None)
-        with pytest.raises(ValueError, match="normalization"):
-            state.fold()
+    def test_fold_reads_the_normalization_given_at_construction(self):
+        state = perturbed_state(6, 3, 1, 2, seed=6)
+        rescaled = FilterPredictorState(6, 3, 1, 2, NormStats(state.norm.mean + 1.0, state.norm.std))
+        rescaled.params[...] = state.params
+        histories = np.random.default_rng(6).normal(50.0, 10.0, (4, 6, 1))
+        shift = rescaled.fold().predict(histories + 1.0) - state.fold().predict(histories)
+        np.testing.assert_allclose(shift, 1.0, atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(

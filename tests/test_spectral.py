@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from freqfilter.spectral import (
-    circular_convolve,
-    dft_reference,
-    half_bin_multiplicity,
-    half_length,
-    idft_reference,
-    irfft,
-    rfft,
-    spectrum_to_full,
-)
+from freqfilter.spectral import half_bin_multiplicity, half_length, irfft, rfft
+
+from spectral_reference import circular_convolve, dft_reference, idft_reference, spectrum_to_full
 
 
 class TestDftReference:

@@ -23,6 +23,8 @@ from freqfilter.training import (
 
 from numgrad import central_difference, max_relative_error
 
+UNIT_NORM = NormStats([0.0], [1.0])
+
 
 def toy_series(n_steps, n_nodes=1, seed=0):
     rng = np.random.default_rng(seed)
@@ -171,7 +173,7 @@ class TestAdamStep:
 
     def test_pinned_imaginary_bins_survive_many_steps(self):
         rng = np.random.default_rng(3)
-        state = FilterPredictorState.initialize(8, 2, 1, 2)
+        state = FilterPredictorState.initialize(8, 2, 1, 2, UNIT_NORM)
         _, _, k_re, k_im, _, _ = state.parameters()
         opt = Adam(state, lr=0.05)
         for _ in range(100):
@@ -183,8 +185,27 @@ class TestAdamStep:
         np.testing.assert_array_equal(state.k_im[rows], np.zeros((len(rows), 2)))
 
 
+@pytest.mark.parametrize("optimizer", [Adam, SGD])
+def test_a_pin_set_through_pin_mask_holds_through_pullback_and_every_step(optimizer):
+    state = FilterPredictorState.initialize(8, 2, 1, 2, UNIT_NORM)
+    k_re = state.parameters()[2]
+    k_re.pin_mask[3, 0] = True
+    state.apply_pins()
+    assert state.k_re[3, 0] == 0.0
+    rng = np.random.default_rng(5)
+    histories, targets = rng.standard_normal((16, 8, 1)), rng.standard_normal((16, 2, 1))
+    opt = optimizer(state, lr=0.01)
+    for _ in range(5):
+        forecaster, pullback = state.fold_and_pullback()
+        pullback(histories, mae_loss(forecaster.predict(histories), targets)[1])
+        assert k_re.grad[3, 0] == 0.0 and k_re.grad[2, 0] != 0.0  # its neighbour bin still learns
+        opt.step()
+        assert state.k_re[3, 0] == 0.0
+    assert state.k_re[2, 0] != 1.0
+
+
 def state_with_one_bad_gradient():
-    state = FilterPredictorState.initialize(8, 2, 1, 2)
+    state = FilterPredictorState.initialize(8, 2, 1, 2, UNIT_NORM)
     state.grads[...] = 1.0
     state.parameters()[3].grad[1, 0] = np.inf  # filter.kernel.im
     return state
@@ -217,7 +238,7 @@ def test_adam_steps_through_the_public_update(monkeypatch):
         adam_step(param, grad, m, v, step, lr)
 
     monkeypatch.setattr(freqfilter.training, "adam_step", spy)
-    state = FilterPredictorState.initialize(8, 2, 1, 2)
+    state = FilterPredictorState.initialize(8, 2, 1, 2, UNIT_NORM)
     state.grads[...] = 1.0
     opt = Adam(state, lr=0.1)
     opt.step()
@@ -259,8 +280,8 @@ class PerSlotSGD:
     "buffered, per_slot, lr", [(Adam, PerSlotAdam, 0.01), (SGD, PerSlotSGD, 0.05)], ids=["adam", "sgd"]
 )
 def test_buffer_optimizer_matches_the_per_slot_loop_bitwise(buffered, per_slot, lr):
-    mine = FilterPredictorState.initialize(8, 3, 2, 3, seed=4)
-    reference = FilterPredictorState.initialize(8, 3, 2, 3, seed=4)
+    mine = FilterPredictorState.initialize(8, 3, 2, 3, NormStats([0.0, 0.0], [1.0, 1.0]), seed=4)
+    reference = FilterPredictorState.initialize(8, 3, 2, 3, NormStats([0.0, 0.0], [1.0, 1.0]), seed=4)
     opt, ref_opt = buffered(mine, lr), per_slot(reference.parameters(), lr)
     rng = np.random.default_rng(4)
     for _ in range(20):
