@@ -28,34 +28,34 @@ def error_sums(pred, target, mask_epsilon: float = 1e-6) -> np.ndarray:
     """The one place errors are computed: (5, steps) sums over every axis but axis -2, the horizon step.
 
     Rows: sum |e|, sum e^2, sum |e/y| over |y| > mask_epsilon, that count, all entries; blocks add up.
-    A masked target adds exactly 0 to the |e/y| sum, whatever the prediction. Each quantity is laid
-    out as (rows, steps), rows in the order of the leading axes, and with two or more steps the
-    rows are added one after another in that order; a single step is summed in einsum's order.
+    The targets are copied once, in C order. Masked ones are found by C-order index and their
+    quotients zeroed with np.put (.flat's order), so each adds exactly 0 to the |e/y| sum, whatever
+    the prediction, and the kept count per step is rows minus masked. Each quantity is laid out as
+    (rows, steps), rows in the order of the leading axes, and with two or more steps the rows are
+    added one after another in that order; a single step is summed in einsum's order.
     """
     if not (math.isfinite(mask_epsilon) and mask_epsilon >= 0):  # NaN or inf would mask every target
         raise ValueError(f"mask_epsilon must be finite and >= 0, got {mask_epsilon}")
     pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    abs_target = np.array(target, dtype=np.float64, order="C")  # a copy, not asarray: written in place
+    if pred.shape != abs_target.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {abs_target.shape}")
     if pred.ndim < 2:
         raise ValueError(f"pred and target must have shape (..., steps, features), got {pred.shape}")
     steps = pred.shape[-2]
-    # C-order temporaries, so with one feature, which is what evaluation blocks have, the (rows,
-    # steps) layouts are views even when pred and target are overlapping strided window views.
-    abs_err = np.subtract(pred, target, order="C")
-    np.abs(abs_err, out=abs_err)
-    abs_err = abs_err.swapaxes(-1, -2).reshape(-1, steps)
-    abs_target = np.abs(target, order="C").swapaxes(-1, -2).reshape(-1, steps)
-    kept = abs_target > mask_epsilon
+    # C order, so with one feature (evaluation blocks) the (rows, steps) layouts below are views.
+    abs_err = np.subtract(pred, abs_target, order="C")
+    abs_err = np.abs(abs_err, out=abs_err).swapaxes(-1, -2).reshape(-1, steps)
+    abs_target = np.abs(abs_target, out=abs_target).swapaxes(-1, -2).reshape(-1, steps)
+    masked = np.flatnonzero(~(abs_target > mask_epsilon))  # NaN targets too
     with np.errstate(divide="ignore", invalid="ignore"):  # the masked quotients are discarded
         pct = np.divide(abs_err, abs_target, out=abs_target)
-    pct[~kept] = 0.0  # not pct * kept: a NaN or infinite quotient times 0 is NaN
+    np.put(pct, masked, 0.0)  # not pct * kept (NaN * 0 is NaN), nor reshape(-1), which copies a strided pct
     sums = np.empty((5, steps))
     np.einsum("ij->j", abs_err, out=sums[0])
     np.einsum("ij,ij->j", abs_err, abs_err, out=sums[1])
     np.einsum("ij->j", pct, out=sums[2])
-    np.einsum("ij->j", kept, out=sums[3], dtype=np.float64)
+    sums[3] = abs_err.shape[0] - np.bincount(masked % steps, minlength=steps)
     sums[4] = abs_err.shape[0]
     return sums
 

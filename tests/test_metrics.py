@@ -145,45 +145,73 @@ def test_table_and_csv_rendering():
     assert ",," in metrics_csv_line("2", absent)  # empty mape field
 
 
-def scoring_block(shape, seed):
-    """Random forecasts and targets with exact zeros and targets at 1e-6, and three entries whose |e/y| is not finite.
+def scoring_block(shape, seed, masked=0.2):
+    """Random forecasts and targets, about a share `masked` of the targets at or near 0.
 
-    An infinite forecast at a zero target opens the first step; a NaN forecast at a zero target and a
-    NaN target sit in the last step (one entry when the last step has one row). Each is masked.
+    Below a share of 1 those are exact zeros and targets at 1e-6, so the epsilon decides which are
+    masked; at 1 they are +0 and -0, masked at every epsilon. Above a share of 0, three entries have
+    a non-finite |e/y|: an infinite forecast at a zero target opens the first step; a NaN forecast
+    at a zero target and a NaN target sit in the last step (one entry when the last step has one
+    row). Each is masked.
     """
     rng = np.random.default_rng(seed)
     pred = rng.normal(50.0, 20.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
     target = rng.normal(50.0, 20.0, shape)
-    pick = rng.random(shape) < 0.2
-    target[pick] = rng.choice([0.0, 1e-6, -1e-6, 1e-6 * (1 + 2**-40)], size=int(pick.sum()))
-    target.flat[0] = 0.0
-    pred.flat[0] = np.inf
-    target[..., -1, :].flat[0] = 0.0
-    pred[..., -1, :].flat[0] = np.nan
-    target[..., -1, :].flat[-1] = np.nan
+    pick = rng.random(shape) < masked
+    near_zero = [0.0, -0.0] if masked == 1 else [0.0, 1e-6, -1e-6, 1e-6 * (1 + 2**-40)]
+    target[pick] = rng.choice(near_zero, size=int(pick.sum()))
+    if masked > 0:
+        target.flat[0] = 0.0
+        pred.flat[0] = np.inf
+        target[..., -1, :].flat[0] = 0.0
+        pred[..., -1, :].flat[0] = np.nan
+        target[..., -1, :].flat[-1] = np.nan
     return pred, target
 
 
+@pytest.mark.parametrize("masked", [0.0, 0.2, 1.0])
 @pytest.mark.parametrize("mask_epsilon", [0.0, 1e-6])
 @pytest.mark.parametrize("shape", [(1, 2, 1), (7, 3, 1), (4140, 12, 1), (1, 1, 2, 1), (5, 3, 4, 1), (19, 207, 12, 1)])
-def test_error_sums_equals_numpy_sums_on_the_flat_block(shape, mask_epsilon):
-    pred, target = scoring_block(shape, seed=sum(shape))
+def test_error_sums_equals_numpy_sums_on_the_flat_block(shape, mask_epsilon, masked):
+    pred, target = scoring_block(shape, seed=sum(shape), masked=masked)
     flat = (-1, shape[-2], 1)  # (windows, steps, 1): the blocks the NumPy sums scored
     got = error_sums(pred, target, mask_epsilon)
     np.testing.assert_array_equal(got, reference_error_sums(pred.reshape(flat), target.reshape(flat), mask_epsilon))
-    # The infinite and NaN errors add 0 to the |e/y| sum; the NaN ones make the last step's other sums NaN.
-    assert got[0, 0] == np.inf and np.isnan(got[:2, -1]).all() and np.isfinite(got[2]).all()
+    if masked == 0:
+        assert np.isfinite(got).all() and (got[3] == got[4]).all()
+    else:
+        # The infinite and NaN errors add 0 to the |e/y| sum; the NaN ones make the last step's other sums NaN.
+        assert got[0, 0] == np.inf and np.isnan(got[:2, -1]).all() and np.isfinite(got[2]).all()
+    if masked == 1:
+        assert (got[2:4] == 0).all()
     # A strided target view scores the bits of its copy.
     view = np.zeros(shape[:-2] + (2 * shape[-2], 1))[..., ::2, :]
     view[...] = target
     np.testing.assert_array_equal(error_sums(pred, view, mask_epsilon), got)
 
 
-def test_error_sums_sums_over_every_axis_but_the_step_axis():
-    pred, target = scoring_block((30, 40, 5, 3), seed=9)
+@pytest.mark.parametrize("inputs", ["contiguous", "strided target", "pred is target"])
+def test_error_sums_leaves_its_inputs_unchanged(inputs):
+    pred, target = scoring_block((19, 207, 12, 1), seed=3)
+    if inputs == "strided target":
+        target = np.repeat(target, 2, axis=-2)[..., ::2, :]
+    elif inputs == "pred is target":
+        pred = target
+    assert pred.flags.writeable and target.flags.writeable
+    before = pred.tobytes(), target.tobytes(), target.strides
+    error_sums(pred, target)
+    assert (pred.tobytes(), target.tobytes(), target.strides) == before
+
+
+@pytest.mark.parametrize("masked", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("shape", [(30, 40, 5, 3), (12, 3)])  # (12, 3): the (rows, steps) layout is a strided view
+def test_error_sums_sums_over_every_axis_but_the_step_axis(shape, masked):
+    pred, target = scoring_block(shape, seed=9, masked=masked)
     got = error_sums(pred, target)
-    assert got.shape == (5, 5)
-    np.testing.assert_allclose(got, reference_error_sums(pred.reshape(-1, 5, 3), target.reshape(-1, 5, 3)), rtol=1e-14)
+    want = reference_error_sums(pred.reshape(-1, *shape[-2:]), target.reshape(-1, *shape[-2:]))
+    assert got.shape == (5, shape[-2])
+    np.testing.assert_array_equal(got[3:], want[3:])
+    np.testing.assert_allclose(got, want, rtol=1e-14)  # features and strided rows are added in another order
 
 
 def test_single_step_sums_match_numpy_to_rounding():
