@@ -31,8 +31,10 @@ CSV_BLOCK_CELLS = 2**14
 # every integer up to 2^53 in magnitude exactly and skips some beyond it.
 EXACT_INT_LIMIT = 2**53
 # Values per spike draw in generate_synthetic (512 KiB of float64): the series then costs itself,
-# its bool spike mask and a few chunks. The benchmark's small series fit in one chunk.
+# its spike positions and magnitudes (16 B a spike) and a chunk. The benchmark's small series fit in one chunk.
 SYNTHETIC_CHUNK_VALUES = 2**16
+# Values per block of whole nodes in fit_normalization's squared deviations (2 MiB of float64).
+NORM_BLOCK_VALUES = 2**18
 
 
 class CsvFormatError(ValueError):
@@ -301,20 +303,17 @@ def generate_synthetic(cfg: SyntheticConfig) -> TimeSeriesTensor:
     values *= cfg.gaussian_noise_std
     days = values.reshape(n, cfg.n_days, cfg.steps_per_day)  # a view of values
     days += trend[:, None, :]
-    # Spikes are drawn in chunks of the flat series, in C order, and only the bool mask is
-    # whole. Each random and uniform draw takes one 64-bit output of the stream, so the chunks
-    # read it exactly as whole-array draws would.
+    # Spikes are drawn in chunks of the flat series, in C order, and each chunk keeps only its
+    # spike positions. Each random and uniform draw takes one 64-bit output of the stream, so the
+    # chunks read it exactly as whole-array draws would.
     flat = values.reshape(-1)  # a view of values
-    spiked = np.empty(flat.size, dtype=bool)
-    chunks = [slice(lo, lo + SYNTHETIC_CHUNK_VALUES) for lo in range(0, flat.size, SYNTHETIC_CHUNK_VALUES)]
-    for c in chunks:
-        np.less(rng.random(spiked[c].size), cfg.spike_probability, out=spiked[c])
-    magnitudes = [rng.uniform(*cfg.spike_magnitude_range, spiked[c].size)[spiked[c]] for c in chunks]
-    for c, magnitude in zip(chunks, magnitudes):
-        negative = (rng.random(spiked[c].size) < 0.5)[spiked[c]]
+    chunks = [flat[lo : lo + SYNTHETIC_CHUNK_VALUES] for lo in range(0, flat.size, SYNTHETIC_CHUNK_VALUES)]
+    spiked = [np.flatnonzero(rng.random(c.size) < cfg.spike_probability) for c in chunks]
+    magnitudes = [rng.uniform(*cfg.spike_magnitude_range, c.size)[at] for c, at in zip(chunks, spiked)]
+    for c, at, magnitude in zip(chunks, spiked, magnitudes):
+        negative = (rng.random(c.size) < 0.5)[at]
         # Unspiked entries would add 0.0, which leaves every value's bits as they are.
-        flat[c][spiked[c]] += np.where(negative, -magnitude, magnitude)
-    del spiked  # before TimeSeriesTensor's finite check makes a mask of its own
+        c[at] += np.where(negative, -magnitude, magnitude)
     np.maximum(values, cfg.min_value, out=values)
     values.setflags(write=False)
     node_ids = tuple(f"node_{i:03d}" for i in range(n))
@@ -353,7 +352,14 @@ def fit_normalization(series: TimeSeriesTensor, train_range: tuple[int, int]) ->
         raise ValueError(f"train range [{start}, {stop}) invalid for {series.n_steps} steps")
     window = series.values[:, start:stop, :]
     mean = window.mean(axis=(0, 1))
-    std = window.std(axis=(0, 1))
+    # window.std's own calls, over blocks of whole nodes whose sums are added in node order, so no
+    # window-sized deviation temporary is made; a window of one block keeps std's bits.
+    per_block = max(1, NORM_BLOCK_VALUES // window[0].size)
+    sq_sum = 0.0
+    for lo in range(0, window.shape[0], per_block):
+        dev = window[lo : lo + per_block] - mean
+        sq_sum += np.multiply(dev, dev, out=dev).sum(axis=(0, 1))
+    std = np.sqrt(sq_sum / (window.shape[0] * window.shape[1]))
     if np.any(std == 0):
         bad = int(np.argmax(std == 0))
         raise ValueError(f"feature {bad} has zero variance on the training range")

@@ -31,8 +31,10 @@ def error_sums(pred, target, mask_epsilon: float = 1e-6) -> np.ndarray:
     The targets are copied once, in C order. Masked ones are found by C-order index and their
     quotients zeroed with np.put (.flat's order), so each adds exactly 0 to the |e/y| sum, whatever
     the prediction, and the kept count per step is rows minus masked. Each quantity is laid out as
-    (rows, steps), rows in the order of the leading axes, and with two or more steps the rows are
-    added one after another in that order; a single step is summed in einsum's order.
+    (rows, steps), rows in the order of the leading axes. With two or more steps and a C-contiguous
+    layout (one feature, or more than one leading window) the rows are added one after another in
+    that order. Otherwise (one step, or (steps, features >= 2) with one leading window) each step's rows
+    lie together, and einsum sums them as np.einsum("i->") does, in two interleaved partial sums.
     """
     if not (math.isfinite(mask_epsilon) and mask_epsilon >= 0):  # NaN or inf would mask every target
         raise ValueError(f"mask_epsilon must be finite and >= 0, got {mask_epsilon}")

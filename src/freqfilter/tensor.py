@@ -19,9 +19,10 @@ class TimeSeriesTensor:
     construction; node_ids are unique opaque identifiers; interval_seconds
     is the sampling period (300 for the usual 5-minute traffic feeds).
 
-    values is copied, except for a float64 ndarray that owns its data
-    (base is None) and is already read-only: that one is adopted as it is,
-    and the caller hands it over, keeping no writeable view of it.
+    values is copied, except for a read-only float64 ndarray that owns its
+    data (base is None) or is a view of a read-only float64 ndarray that
+    does: that one is adopted as it is, and the caller hands it over,
+    keeping no writeable view of it. A view keeps its owner alive.
     """
 
     values: np.ndarray
@@ -30,18 +31,18 @@ class TimeSeriesTensor:
 
     def __post_init__(self) -> None:
         values = self.values
+        owner = values if getattr(values, "base", None) is None else values.base
         if not (
-            type(values) is np.ndarray
-            and values.dtype == np.float64
-            and values.base is None
-            and not values.flags.writeable
+            all(type(a) is np.ndarray and a.dtype == np.float64 and not a.flags.writeable for a in (values, owner))
+            and owner.base is None
         ):
             values = np.array(values, dtype=np.float64, copy=True)
         if values.ndim != 3:
             raise ValueError(f"values must be 3-D (node, time, feature), got shape {values.shape}")
         if min(values.shape) < 1:
             raise ValueError(f"all dimensions must be >= 1, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        # NaN propagates through min and max, and an infinity is an extreme: exact, with no bool temporary.
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("values contain NaN or Inf entries")
         node_ids = tuple(str(n) for n in self.node_ids)
         if len(node_ids) != values.shape[0]:
@@ -71,7 +72,7 @@ class TimeSeriesTensor:
 
 
 def slice_window(t: TimeSeriesTensor, start: int, length: int) -> TimeSeriesTensor:
-    """Contiguous slice along the time axis; node ids and interval carry over."""
+    """Contiguous slice along the time axis, a view that keeps t's values alive; node ids and interval carry over."""
     if length <= 0:
         raise ValueError(f"length must be positive, got {length}")
     if start < 0 or start + length > t.n_steps:

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -212,6 +213,20 @@ def test_error_sums_sums_over_every_axis_but_the_step_axis(shape, masked):
     assert got.shape == (5, shape[-2])
     np.testing.assert_array_equal(got[3:], want[3:])
     np.testing.assert_allclose(got, want, rtol=1e-14)  # features and strided rows are added in another order
+
+
+@pytest.mark.parametrize(
+    "shape, row_by_row",
+    [((4, 5, 3), True), ((12, 1), True), ((12, 3), False), ((1, 12, 3), False), ((6, 1, 1), False), ((9, 1, 2), False)],
+)
+def test_error_sums_adds_rows_in_the_order_its_docstring_states(shape, row_by_row):
+    pred, target = scoring_block(shape, seed=5, masked=0.0)
+    rows = np.abs(pred - target).swapaxes(-1, -2).reshape(-1, shape[-2])  # (rows, steps), leading axes' order
+    if row_by_row:
+        want = functools.reduce(np.add, rows)
+    else:  # each step's rows as one run, the way einsum sums a contiguous run
+        want = np.array([np.einsum("i->", np.ascontiguousarray(run)) for run in rows.T])
+    assert error_sums(pred, target)[0].tobytes() == want.tobytes()
 
 
 def test_single_step_sums_match_numpy_to_rounding():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,13 @@ def series_from_values(values, interval=300):
 
 
 class TestTimeSeriesTensor:
-    def test_rejects_nan_and_inf(self):
-        bad = np.zeros((1, 3, 1))
-        bad[0, 1, 0] = np.nan
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            series_from_values(bad)
-        bad[0, 1, 0] = np.inf
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            series_from_values(bad)
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_rejects_nan_and_inf_at_every_position(self, bad_value):
+        for position in np.ndindex(2, 3, 2):
+            bad = np.arange(12.0).reshape(2, 3, 2)
+            bad[position] = bad_value
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                series_from_values(bad)
 
     def test_rejects_duplicate_node_ids(self):
         with pytest.raises(ValueError, match="unique"):
@@ -57,6 +58,19 @@ class TestTimeSeriesTensor:
         source.setflags(write=False)
         t = TimeSeriesTensor(source, ("a",))
         assert t.values.dtype == np.float64 and t.values.base is None
+
+    def test_read_only_view_of_another_dtype_is_copied(self):
+        source = np.zeros((1, 4, 1), dtype=np.int64)
+        source.setflags(write=False)
+        t = TimeSeriesTensor(source.view(np.float64), ("a",))
+        assert t.values.base is None and not np.shares_memory(t.values, source)
+
+    def test_read_only_view_of_a_read_only_array_owning_its_data_is_adopted(self):
+        source = np.array([[[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]]])
+        source.setflags(write=False)
+        view = source[:, 2:5]
+        t = TimeSeriesTensor(view, ("a",))
+        assert t.values is view and t.values.base is source
 
     def test_read_only_array_owning_its_data_is_adopted(self):
         source = np.array([[[0.0], [1.0], [2.0], [3.0]]])
@@ -97,6 +111,19 @@ class TestSliceWindow:
         t = series_from_values(np.zeros((1, 10, 1)))
         with pytest.raises(ValueError, match=r"\[8, 13\).*\[0, 10\)"):
             slice_window(t, 8, 5)
+
+    def test_slice_is_a_view_of_its_series(self):
+        t = series_from_values(np.random.default_rng(4).standard_normal((40, 8000, 1)))
+        tracemalloc.start()
+        try:
+            s = slice_window(t, 1000, 6000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.values.base is t.values
+        # The finite check's min and max read the strided view through NumPy's fixed 64 KiB buffer.
+        assert peak < 2**17 < s.values.nbytes / 10, peak
+        np.testing.assert_array_equal(s.values, t.values[:, 1000:7000])
 
     def test_slice_is_isolated_from_source(self):
         t = series_from_values(np.ones((1, 6, 1)))
