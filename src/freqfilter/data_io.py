@@ -195,10 +195,14 @@ def load_csv(path) -> TimeSeriesTensor:
 def save_csv(series: TimeSeriesTensor, path, start_timestamp: datetime | None = None) -> None:
     """Write the first feature of a tensor as a wide CSV (6 decimal places, CRLF line ends).
 
-    Timestamps are integer step indices unless a start datetime is given, in
-    which case ISO timestamps are spaced by the tensor's interval.
+    A 300 s series with no start datetime gets integer step indices, which
+    load_csv reads back at 300 s. Any other series gets ISO timestamps spaced
+    by its interval, from start_timestamp or else from 1970-01-01T00:00:00
+    (read back as UTC), so its interval survives the round trip.
     """
     path = Path(path)
+    if start_timestamp is None and series.interval_seconds != DEFAULT_INTERVAL_SECONDS:
+        start_timestamp = datetime(1970, 1, 1)
     row = "%s" + ",%.6f" * series.n_nodes + "\r\n"
     rows_per_block = max(1, CSV_BLOCK_CELLS // (series.n_nodes + 1))
     with path.open("w", newline="") as fh:
@@ -217,28 +221,24 @@ def save_csv(series: TimeSeriesTensor, path, start_timestamp: datetime | None = 
 
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Seeded generator settings: daily structure plus noise and sparse spikes.
+    """Seeded generator settings: a fixed daily trend plus noise and sparse spikes.
 
-    Each node draws a base level, daily amplitude, phase, and rush-hour dip
-    depths from the seeded stream; on top of the smooth trend go iid gaussian
-    noise and signed spikes occurring independently per step with
-    spike_probability. Draw order is fixed (trend parameters, noise, spike
-    positions, spike magnitudes, spike signs), so configs differing only in
-    noise or spike settings share the rest of the stream.
+    Each node draws a base level in [48, 62), a daily amplitude in [6, 12), a
+    phase, and dip depths in [8, 18) for rush hours at 08:00 and 17:30
+    (gaussian, 5,400 s wide) from the seeded stream; on top of that trend go
+    iid gaussian noise and signed spikes occurring independently per step
+    with spike_probability, and every value is floored at 1.0. Draw order is
+    fixed (trend parameters, noise, spike positions, spike magnitudes, spike
+    signs), so configs differing only in noise or spike settings share the
+    rest of the stream.
     """
 
     n_nodes: int = 5
     n_days: int = 30
     interval_seconds: int = DEFAULT_INTERVAL_SECONDS
-    base_level_range: tuple[float, float] = (48.0, 62.0)
-    daily_amplitude_range: tuple[float, float] = (6.0, 12.0)
-    rush_hour_centers: tuple[float, ...] = (8 * 3600.0, 17.5 * 3600.0)
-    rush_hour_width_seconds: float = 5400.0
-    rush_hour_depth_range: tuple[float, float] = (8.0, 18.0)
     gaussian_noise_std: float = 2.0
     spike_probability: float = 0.01
     spike_magnitude_range: tuple[float, float] = (8.0, 25.0)
-    min_value: float = 1.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -253,12 +253,11 @@ class SyntheticConfig:
         # NaN passes every comparison below and an infinite range overflows the uniform draws.
         if not (math.isfinite(self.gaussian_noise_std) and self.gaussian_noise_std >= 0):
             raise ValueError(f"gaussian_noise_std must be finite and >= 0, got {self.gaussian_noise_std}")
-        for name in ("base_level_range", "daily_amplitude_range", "rush_hour_depth_range", "spike_magnitude_range"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{name} must be finite, got ({lo}, {hi})")
-            if lo > hi:
-                raise ValueError(f"{name} is inverted: ({lo}, {hi})")
+        lo, hi = self.spike_magnitude_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"spike_magnitude_range must be finite, got ({lo}, {hi})")
+        if lo > hi:
+            raise ValueError(f"spike_magnitude_range is inverted: ({lo}, {hi})")
 
     @property
     def steps_per_day(self) -> int:
@@ -269,34 +268,30 @@ class SyntheticConfig:
         return self.n_days * self.steps_per_day
 
 
-def _circular_tod_distance(tod: np.ndarray, center: float) -> np.ndarray:
-    raw = np.abs(tod - center)
-    return np.minimum(raw, _SECONDS_PER_DAY - raw)
-
-
 def generate_synthetic(cfg: SyntheticConfig) -> TimeSeriesTensor:
     """Deterministic synthetic speeds for the given config (pure function of the seed)."""
     rng = np.random.default_rng(cfg.rng_seed)
     n, steps = cfg.n_nodes, cfg.n_steps
 
-    base = rng.uniform(*cfg.base_level_range, n)
-    amplitude = rng.uniform(*cfg.daily_amplitude_range, n)
+    base = rng.uniform(48.0, 62.0, n)
+    amplitude = rng.uniform(6.0, 12.0, n)
     phase = rng.uniform(0.0, 2.0 * np.pi, n)
-    depths = rng.uniform(*cfg.rush_hour_depth_range, (len(cfg.rush_hour_centers), n))
+    rush_hours = (8 * 3600.0, 17.5 * 3600.0)
+    depths = rng.uniform(8.0, 18.0, (len(rush_hours), n))
 
     # The trend repeats every day, so it is built for one day and added to each.
     # The rest is built in place, so the series costs little more than itself
     # (README, "Memory"). Every step is the same IEEE
     # operation on the same operands as max(base + amplitude * sin - dips +
-    # noise + spikes, min_value), so the values keep their bits.
+    # noise + spikes, 1.0), so the values keep their bits.
     tod = np.arange(cfg.steps_per_day) * cfg.interval_seconds
     trend = np.sin(2.0 * np.pi * tod[None, :] / _SECONDS_PER_DAY + phase[:, None])
     trend *= amplitude[:, None]
     trend += base[:, None]
-    for d, center in enumerate(cfg.rush_hour_centers):
-        dist = _circular_tod_distance(tod, center)
-        bump = np.exp(-(dist**2) / (2.0 * cfg.rush_hour_width_seconds**2))
-        trend -= depths[d][:, None] * bump[None, :]
+    for depth, center in zip(depths, rush_hours):
+        dist = np.abs(tod - center)
+        dist = np.minimum(dist, _SECONDS_PER_DAY - dist)  # around the clock
+        trend -= depth[:, None] * np.exp(-(dist**2) / (2.0 * 5400.0**2))[None, :]
 
     # Drawn straight into an array that owns its data, so TimeSeriesTensor adopts it once frozen.
     values = rng.normal(0.0, 1.0, (n, steps, 1))
@@ -314,7 +309,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> TimeSeriesTensor:
         negative = (rng.random(c.size) < 0.5)[at]
         # Unspiked entries would add 0.0, which leaves every value's bits as they are.
         c[at] += np.where(negative, -magnitude, magnitude)
-    np.maximum(values, cfg.min_value, out=values)
+    np.maximum(values, 1.0, out=values)
     values.setflags(write=False)
     node_ids = tuple(f"node_{i:03d}" for i in range(n))
     return TimeSeriesTensor(values=values, node_ids=node_ids, interval_seconds=cfg.interval_seconds)
@@ -332,6 +327,10 @@ class NormStats:
         std = np.atleast_1d(np.asarray(self.std, dtype=np.float64))
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError(f"mean/std must be matching 1-D arrays, got {mean.shape} and {std.shape}")
+        for name, stat in (("mean", mean), ("std", std)):
+            if not np.isfinite(stat).all():
+                bad = int(np.argmin(np.isfinite(stat)))
+                raise ValueError(f"feature {bad} has non-finite {name} {stat[bad]}")
         if np.any(std <= 0):
             bad = int(np.argmax(std <= 0))
             raise ValueError(f"feature {bad} has non-positive std {std[bad]}")

@@ -44,33 +44,38 @@ class TrainConfig:
 class WindowedDataset:
     """Sliding (history, horizon) samples cut from a series, split chronologically.
 
-    Windows are stored as history-start anchors into the source values; every
-    sample's history immediately precedes its target block and no window
-    crosses a split boundary.
+    A split's windows start at every step of its [start, stop) range that
+    leaves room for history + horizon steps before stop, so every sample's
+    history immediately precedes its target block and no window crosses a
+    split boundary.
     """
 
     values: np.ndarray  # (n_nodes, n_steps, n_features), original units
     history: int
     horizon: int
     split_ranges: dict[str, tuple[int, int]]
-    split_anchors: dict[str, np.ndarray]
 
     @property
     def n_nodes(self) -> int:
         return self.values.shape[0]
 
     def n_windows(self, split: str) -> int:
-        return self.split_anchors[split].size
+        start, stop = self.split_ranges[split]
+        return max(0, stop - start - self.history - self.horizon + 1)
 
     def n_samples(self, split: str) -> int:
         return self.n_windows(split) * self.n_nodes
 
     def gather(self, split: str, sample_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-node batches: sample id = window * n_nodes + node."""
-        nodes = sample_ids % self.n_nodes
-        starts = self.split_anchors[split][sample_ids // self.n_nodes]
-        hist = _gather(self.values, nodes, starts, self.history)
-        return hist, _gather(self.values, nodes, starts + self.history, self.horizon)
+        """Per-node (histories, targets) batches, sample id = window * n_nodes + node.
+
+        Each sample is cut as one window of history + horizon steps, and the two halves are views of it.
+        """
+        if sample_ids.size and not 0 <= sample_ids.min() <= sample_ids.max() < self.n_samples(split):
+            raise IndexError(f"sample ids must lie in [0, {self.n_samples(split)}) for the {split} split")
+        starts = self.split_ranges[split][0] + sample_ids // self.n_nodes
+        windows = _gather(self.values, sample_ids % self.n_nodes, starts, self.history + self.horizon)
+        return windows[..., : self.history, :], windows[..., self.history :, :]
 
 
 def make_windows(
@@ -98,7 +103,6 @@ def make_windows(
             break
 
     ranges: dict[str, tuple[int, int]] = {}
-    anchors: dict[str, np.ndarray] = {}
     cursor = 0
     for name, size, ratio in zip(SPLIT_NAMES, sizes, ratios):
         ranges[name] = (cursor, cursor + size)
@@ -106,16 +110,9 @@ def make_windows(
             raise ValueError(
                 f"{name} split has {size} steps but needs at least {needed} (history {history} + horizon {horizon})"
             )
-        anchors[name] = np.arange(cursor, cursor + size - needed + 1)  # empty when size < needed
         cursor += size
 
-    return WindowedDataset(
-        values=series.values,
-        history=history,
-        horizon=horizon,
-        split_ranges=ranges,
-        split_anchors=anchors,
-    )
+    return WindowedDataset(values=series.values, history=history, horizon=horizon, split_ranges=ranges)
 
 
 def mae_loss(pred, target) -> tuple[float, np.ndarray]:
@@ -174,11 +171,8 @@ class Adam:
         self.v = np.zeros_like(state.params)
 
     def step(self) -> None:
-        try:
-            adam_step(self.state.params, self.state.grads, self.m, self.v, self.step_count + 1, self.lr)
-        except FloatingPointError:
-            _check_gradients(self.state)  # names the slot when the gradient was what failed
-            raise
+        _check_gradients(self.state)
+        adam_step(self.state.params, self.state.grads, self.m, self.v, self.step_count + 1, self.lr)
         self.step_count += 1
         self.state.apply_pins()
 

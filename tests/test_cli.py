@@ -62,6 +62,19 @@ def test_baseline_prints_both_models(small_csv, capsys):
     assert "aggregate" in out
 
 
+def test_a_60_s_series_keeps_its_interval_through_generate_and_filter(tmp_path, capsys):
+    generated, smoothed = tmp_path / "i60.csv", tmp_path / "i60s.csv"
+    argv = ["generate", "--out", str(generated), "--nodes", "2", "--days", "2", "--interval", "60", "--seed", "1"]
+    assert main(argv) == 0
+    assert main(["filter", "--data", str(generated), "--out", str(smoothed)]) == 0
+    for path in (generated, smoothed):
+        capsys.readouterr()
+        assert main(["baseline", "--data", str(path), "--horizon", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "step 1 (1 min)" in out and "step 3 (3 min)" in out
+        assert load_csv(path).interval_seconds == 60
+
+
 def test_baseline_rolling_mode_runs(small_csv, capsys):
     assert main([
         "baseline", "--data", str(small_csv), "--history", "6", "--horizon", "3", "--rolling",

@@ -282,30 +282,52 @@ _WIDE_BLOCKS = blocks(
 )
 
 
+_LOCAL = datetime(2024, 3, 10, 1, 30)
+_OFFSET = datetime(2024, 1, 1, tzinfo=timezone(timedelta(hours=-8)))
+
+
 class TestCsvContract:
     """save_csv writes the bytes the row writer wrote; load_csv reads in bulk but reports like the row reader."""
 
     @pytest.mark.parametrize("block_cells", [3, 10, freqfilter.data_io.CSV_BLOCK_CELLS])
+    # (start passed to save_csv, interval, start the row writer is given): only a 300 s series with
+    # no start gets index stamps; any other interval without a start is stamped from the epoch.
     @pytest.mark.parametrize(
-        "start",
-        [None, datetime(2024, 3, 10, 1, 30), datetime(2024, 1, 1, tzinfo=timezone(timedelta(hours=-8)))],
-        ids=["index", "iso", "iso-offset"],
+        "start, interval, rows_start",
+        [
+            (None, 300, None),
+            (None, 60, datetime(1970, 1, 1)),
+            (_LOCAL, 60, _LOCAL),
+            (_OFFSET, 60, _OFFSET),
+        ],
+        ids=["index", "epoch", "iso", "iso-offset"],
     )
-    def test_save_csv_writes_the_bytes_of_the_row_writer(self, tmp_path, monkeypatch, block_cells, start):
+    def test_save_csv_writes_the_bytes_of_the_row_writer(
+        self, tmp_path, monkeypatch, block_cells, start, interval, rows_start
+    ):
         rng = np.random.default_rng(block_cells)
         values = rng.normal(0.0, 1.0, (4, 23, 1)) * np.array([1e-7, 1.0, 80.0, 1e12])[:, None, None]
         values[0, :3, 0] = [-4e-7, 5e-7, -0.0]  # rounds to -0.000000, a half-way case, negative zero
         node_ids = ("a", "b,c", 'say "hi"', "50%")
-        series = TimeSeriesTensor(values, node_ids, interval_seconds=60)
+        series = TimeSeriesTensor(values, node_ids, interval_seconds=interval)
         monkeypatch.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", block_cells)
         save_csv(series, tmp_path / "bulk.csv", start_timestamp=start)
-        save_csv_by_rows(series, tmp_path / "rows.csv", start_timestamp=start)
+        save_csv_by_rows(series, tmp_path / "rows.csv", start_timestamp=rows_start)
         written = (tmp_path / "bulk.csv").read_bytes()
         assert written == (tmp_path / "rows.csv").read_bytes()
         assert written.count(b"\r\n") == 1 + series.n_steps
         reloaded = load_csv(tmp_path / "bulk.csv")
         assert reloaded.node_ids == node_ids
+        assert reloaded.interval_seconds == interval
         np.testing.assert_allclose(reloaded.values, values, atol=5e-7)
+
+    def test_round_trip_keeps_a_60_s_interval(self, tmp_path):
+        series = generate_synthetic(SyntheticConfig(n_nodes=2, n_days=1, interval_seconds=60, rng_seed=4))
+        save_csv(series, tmp_path / "i60.csv")
+        assert (tmp_path / "i60.csv").read_text().splitlines()[1].startswith("1970-01-01T00:00:00,")
+        loaded = load_csv(tmp_path / "i60.csv")
+        assert loaded.interval_seconds == 60
+        np.testing.assert_allclose(loaded.values, series.values, atol=5e-7)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -331,7 +353,7 @@ class TestCsvContract:
         rounded = np.array([float(f"{v:.6f}") for v in cells]).reshape(values.shape)
         assert loaded.values.tobytes() == rounded.tobytes()  # bit for bit, the sign of zero too
         assert loaded.node_ids == series.node_ids
-        assert loaded.interval_seconds == (interval if iso and steps > 1 else 300)
+        assert loaded.interval_seconds == (interval if steps > 1 else 300)  # one row cannot show its spacing
 
     @pytest.mark.parametrize("block_cells", [4, freqfilter.data_io.CSV_BLOCK_CELLS])
     @pytest.mark.parametrize("content, message", [case[1:] for case in _MALFORMED_CSVS], ids=[c[0] for c in _MALFORMED_CSVS])
@@ -459,25 +481,12 @@ class TestSynthetic:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_noiseless_output_is_the_daily_trend(self):
-        # no noise, no spikes, no dips: pure daily sinusoid around the base level,
-        # so the series repeats exactly with a one-day period
-        cfg = SyntheticConfig(
-            n_nodes=2,
-            n_days=3,
-            gaussian_noise_std=0.0,
-            spike_probability=0.0,
-            rush_hour_depth_range=(0.0, 0.0),
-            daily_amplitude_range=(6.0, 6.0),
-            base_level_range=(50.0, 50.0),
-            rng_seed=1,
-        )
+        # no noise and no spikes: the fixed daily trend alone, which repeats exactly every day
+        cfg = SyntheticConfig(n_nodes=2, n_days=3, gaussian_noise_std=0.0, spike_probability=0.0, rng_seed=1)
         series = generate_synthetic(cfg)
         steps = cfg.steps_per_day
         x = series.values[:, :, 0]
-        np.testing.assert_allclose(x[:, :steps], x[:, steps : 2 * steps], atol=1e-12)
-        assert np.all(np.abs(x - 50.0) <= 6.0 + 1e-12)
-        # grid resolution: the sampled extreme is within one step of the true one
-        assert x.max() >= 50.0 + 6.0 * np.cos(np.pi / steps) - 1e-9
+        assert x[:, :steps].tobytes() == x[:, steps : 2 * steps].tobytes() == x[:, 2 * steps :].tobytes()
 
     def test_spike_count_matches_binomial_expectation(self):
         base = dict(n_nodes=1, n_days=10, gaussian_noise_std=0.0, rng_seed=123)
@@ -502,20 +511,22 @@ class TestSynthetic:
 
         rng = np.random.default_rng(seed)
         n, steps = cfg.n_nodes, cfg.n_steps
-        base = rng.uniform(*cfg.base_level_range, n)
-        amplitude = rng.uniform(*cfg.daily_amplitude_range, n)
+        # The fixed trend: base level, amplitude, rush hours at 08:00 and 17:30, their width and depth, floor.
+        base = rng.uniform(48.0, 62.0, n)
+        amplitude = rng.uniform(6.0, 12.0, n)
         phase = rng.uniform(0.0, 2.0 * np.pi, n)
-        depths = rng.uniform(*cfg.rush_hour_depth_range, (len(cfg.rush_hour_centers), n))
+        rush_hours = (28800.0, 63000.0)
+        depths = rng.uniform(8.0, 18.0, (len(rush_hours), n))
         tod = (np.arange(steps) * cfg.interval_seconds) % 86400
         trend = base[:, None] + amplitude[:, None] * np.sin(2.0 * np.pi * tod[None, :] / 86400 + phase[:, None])
-        for depth, center in zip(depths, cfg.rush_hour_centers):
+        for depth, center in zip(depths, rush_hours):
             dist = np.minimum(np.abs(tod - center), 86400 - np.abs(tod - center))
-            trend -= depth[:, None] * np.exp(-(dist**2) / (2.0 * cfg.rush_hour_width_seconds**2))[None, :]
+            trend -= depth[:, None] * np.exp(-(dist**2) / (2.0 * 5400.0**2))[None, :]
         noise = rng.normal(0.0, 1.0, (n, steps)) * cfg.gaussian_noise_std
         spiked = rng.random((n, steps)) < cfg.spike_probability
         magnitudes = rng.uniform(*cfg.spike_magnitude_range, (n, steps))
         signs = np.where(rng.random((n, steps)) < 0.5, -1.0, 1.0)
-        expected = np.maximum(trend + noise + np.where(spiked, signs * magnitudes, 0.0), cfg.min_value)
+        expected = np.maximum(trend + noise + np.where(spiked, signs * magnitudes, 0.0), 1.0)
         assert np.count_nonzero(spiked) > 0
         assert series.values[:, :, 0].tobytes() == expected.tobytes()
 
@@ -564,17 +575,29 @@ class TestSynthetic:
             SyntheticConfig(spike_probability=1.5)
         with pytest.raises(ValueError, match="interval"):
             SyntheticConfig(interval_seconds=7)
-        with pytest.raises(ValueError, match="inverted"):
-            SyntheticConfig(base_level_range=(10.0, 5.0))
+        with pytest.raises(ValueError, match="^spike_magnitude_range is inverted"):
+            SyntheticConfig(spike_magnitude_range=(25.0, 8.0))
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "base_level_range",
+            "daily_amplitude_range",
+            "rush_hour_centers",
+            "rush_hour_width_seconds",
+            "rush_hour_depth_range",
+            "min_value",
+        ],
+    )
+    def test_the_daily_trend_has_no_settings(self, field):
+        with pytest.raises(TypeError, match=field):
+            SyntheticConfig(**{field: 1.0})
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("gaussian_noise_std", float("nan")),
             ("gaussian_noise_std", float("inf")),
-            ("base_level_range", (float("nan"), 60.0)),
-            ("daily_amplitude_range", (6.0, float("nan"))),
-            ("rush_hour_depth_range", (float("-inf"), 18.0)),
             ("spike_magnitude_range", (8.0, float("inf"))),
         ],
     )
@@ -587,7 +610,7 @@ class TestSynthetic:
             n_nodes=2, n_days=2, gaussian_noise_std=30.0, spike_probability=0.1, rng_seed=2
         )
         series = generate_synthetic(cfg)
-        assert series.values.min() >= cfg.min_value
+        assert series.values.min() == 1.0  # noise of std 30 pushes some steps below the floor
 
 
 class TestNormalization:
@@ -620,6 +643,23 @@ class TestNormalization:
     def test_non_positive_std_rejected(self):
         with pytest.raises(ValueError, match="std"):
             NormStats(np.array([0.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "mean, std, message",
+        [
+            ([float("nan")], [1.0], "feature 0 has non-finite mean nan"),
+            ([0.0], [float("inf")], "feature 0 has non-finite std inf"),
+            ([0.0, float("-inf")], [1.0, 1.0], "feature 1 has non-finite mean -inf"),
+            ([0.0, 0.0], [1.0, float("nan")], "feature 1 has non-finite std nan"),
+        ],
+    )
+    def test_non_finite_stats_rejected_naming_the_feature(self, mean, std, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NormStats(mean, std)
+
+    def test_a_predictor_cannot_be_built_to_forecast_nan(self):
+        with pytest.raises(ValueError, match="non-finite std"):
+            FilterPredictorState.initialize(4, 2, 1, 2, NormStats([0.0], [float("nan")]))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("features", [1, 2])

@@ -32,6 +32,11 @@ def toy_series(n_steps, n_nodes=1, seed=0):
     return TimeSeriesTensor(values, tuple(f"n{i}" for i in range(n_nodes)))
 
 
+def anchors(ds, split):
+    """A split's history starts: the first steps of its range, one per window."""
+    return ds.split_ranges[split][0] + np.arange(ds.n_windows(split))
+
+
 class TestMakeWindows:
     def test_minimal_series_single_split(self):
         series = toy_series(7)
@@ -55,14 +60,14 @@ class TestMakeWindows:
     def test_chronological_split_order(self):
         series = toy_series(200)
         ds = make_windows(series, 6, 3, (0.5, 0.2, 0.3))
-        assert ds.split_anchors["train"].max() < ds.split_anchors["val"].min()
-        assert ds.split_anchors["val"].max() < ds.split_anchors["test"].min()
+        assert anchors(ds, "train").max() < anchors(ds, "val").min()
+        assert anchors(ds, "val").max() < anchors(ds, "test").min()
 
     def test_no_window_straddles_a_split_boundary(self):
         series = toy_series(100)
         ds = make_windows(series, 5, 4, (0.6, 0.2, 0.2))
         for name, (start, stop) in ds.split_ranges.items():
-            for anchor in ds.split_anchors[name]:
+            for anchor in anchors(ds, name):
                 assert start <= anchor
                 assert anchor + 5 + 4 <= stop
 
@@ -82,7 +87,7 @@ class TestMakeWindows:
             return
         for name, (start, stop) in ds.split_ranges.items():
             assert 0 <= start <= stop <= n_steps
-            for anchor in ds.split_anchors[name]:
+            for anchor in anchors(ds, name):
                 assert start <= anchor
                 assert anchor + history + horizon <= stop
 
@@ -99,10 +104,38 @@ class TestMakeWindows:
         ids = np.random.default_rng(6).permutation(ds.n_samples("val"))[:20]
         hist, targ = ds.gather("val", ids)
         for i, sample in enumerate(ids):  # sample id = window * n_nodes + node
-            node, anchor = sample % 3, ds.split_anchors["val"][sample // 3]
+            node, anchor = sample % 3, ds.split_ranges["val"][0] + sample // 3
             np.testing.assert_array_equal(hist[i], values[node, anchor : anchor + 5])
             np.testing.assert_array_equal(targ[i], values[node, anchor + 5 : anchor + 9])
         assert hist.shape == (20, 5, 2) and targ.shape == (20, 4, 2)
+
+    @pytest.mark.parametrize("features", [1, 2])
+    def test_gather_equals_a_history_gather_and_a_target_gather(self, features):
+        values = np.random.default_rng(features).normal(size=(4, 90, features))
+        ds = make_windows(TimeSeriesTensor(values, ("a", "b", "c", "d")), 7, 3, (0.6, 0.25, 0.15))
+        rng = np.random.default_rng(9)
+        for split in ("train", "val", "test"):
+            assert ds.n_samples(split) > 0
+            ids = rng.integers(0, ds.n_samples(split), 50)
+            nodes, starts = ids % 4, ds.split_ranges[split][0] + ids // 4
+            hist, targ = ds.gather(split, ids)
+            expected_hist = np.stack([values[v, s : s + 7] for v, s in zip(nodes, starts)])
+            expected_targ = np.stack([values[v, s + 7 : s + 10] for v, s in zip(nodes, starts)])
+            assert hist.shape == expected_hist.shape and hist.tobytes() == expected_hist.tobytes()
+            assert targ.shape == expected_targ.shape and targ.tobytes() == expected_targ.tobytes()
+
+    def test_gather_rejects_ids_outside_the_split(self):
+        ds = make_windows(toy_series(60, n_nodes=2), 5, 4, (0.5, 0.5, 0.0))
+        for ids in ([-1], [ds.n_samples("train")], [0, ds.n_samples("train")]):
+            with pytest.raises(IndexError, match=r"^sample ids must lie in \[0, 44\) for the train split$"):
+                ds.gather("train", np.array(ids))
+
+    def test_window_counts_at_the_edges(self):
+        ds = make_windows(toy_series(30), 5, 4, (0.3, 0.7, 0.0))
+        assert ds.split_ranges["train"] == (0, 9)  # exactly history + horizon steps
+        assert ds.n_windows("train") == 1
+        assert ds.split_ranges["test"] == (30, 30)
+        assert ds.n_windows("test") == 0 and ds.n_samples("test") == 0
 
     def test_insufficient_length_reports_requirement(self):
         series = toy_series(20)
@@ -228,6 +261,25 @@ def test_adam_names_the_slot_with_a_non_finite_gradient():
     np.testing.assert_array_equal(state.params, before)
     assert opt.step_count == 0
     assert not opt.m.any() and not opt.v.any()
+
+
+def test_adam_checks_the_gradient_before_the_update(monkeypatch):
+    calls = []
+    monkeypatch.setattr(freqfilter.training, "adam_step", lambda *args: calls.append(args))
+    with pytest.raises(FloatingPointError, match=r"^non-finite gradient in filter\.kernel\.im$"):
+        Adam(state_with_one_bad_gradient(), lr=0.1).step()
+    assert calls == []
+
+
+def test_a_moment_overflow_raises_the_updates_own_error():
+    state = FilterPredictorState.initialize(8, 2, 1, 2, UNIT_NORM)
+    state.grads[...] = 1e200  # finite, but its square is not
+    before = state.params.copy()
+    opt = Adam(state, lr=0.1)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        opt.step()
+    np.testing.assert_array_equal(state.params, before)
+    assert opt.step_count == 0
 
 
 def test_adam_steps_through_the_public_update(monkeypatch):
