@@ -15,7 +15,7 @@ import numpy as np
 
 from .filters import check_smoothing_window, check_window_shape, filter_forward, smooth, smooth_last_step
 from .metrics import MetricsReport, error_sums, reports_from_sums
-from .spectral import half_bin_multiplicity, half_length, irfft, rfft
+from .spectral import half_bin_multiplicity, half_length, irfft, rfft, smooth_length, takes_bluestein
 from .tensor import TimeSeriesTensor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,20 +117,6 @@ class AffineForecaster:
         return block.reshape(x.shape[:-2] + (self.horizon, self.features))
 
 
-def _in_original_units(weight, bias, norm: "NormStats", history: int, horizon: int) -> AffineForecaster:
-    """The map z -> z @ weight + bias on z-scored windows, as an AffineForecaster on raw windows.
-
-    invert(apply(x) @ W + b) = x @ W' + b', where W' scales each (input feature,
-    output feature) entry of W by std_out / std_in and b' = (b - vec(mean / std) @ W)
-    * std_out + mean_out. With one feature W' is W itself.
-    """
-    f = norm.std.size
-    ratio = norm.std / norm.std[:, None]  # [input feature, output feature]: std_out / std_in
-    scaled = (weight.reshape(history, f, horizon, f) * ratio[:, None, :]).reshape(weight.shape)
-    shifted = (bias - np.tile(norm.mean / norm.std, history) @ weight) * np.tile(norm.std, horizon)
-    return AffineForecaster(scaled, shifted + np.tile(norm.mean, horizon), f)
-
-
 def parameter_layout(history: int, horizon: int, features: int, width: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """The predictor's six parameter arrays as (slot name, shape) pairs, in buffer and checkpoint order."""
     n_half = half_length(history)
@@ -176,6 +162,12 @@ class FilterPredictorState:
         self.features = features
         self.width = width
         self._norm = norm
+        # z-score constants of _in_original_units, fixed with norm.
+        self._scaled_mean = np.tile(norm.mean / norm.std, history)
+        self._std_out = np.tile(norm.std, horizon)
+        self._mean_out = np.tile(norm.mean, horizon)
+        # fold()'s correlation length where pocketfft would take Bluestein's path at the history.
+        self._padded_length = smooth_length(2 * history - 1) if takes_bluestein(history) else None
         self._layout = []  # (slot name, slice of the buffers, shape)
         start = 0
         for name, shape in parameter_layout(history, horizon, features, width):
@@ -240,9 +232,52 @@ class FilterPredictorState:
         block = filtered.reshape(-1, self.history * self.width) @ self.readout_weight + self.readout_bias
         return self.norm.invert(block.reshape(x.shape[:-2] + (self.horizon, self.features)))
 
+    def _in_original_units(self, weight, bias) -> AffineForecaster:
+        """The map z -> z @ weight + bias on z-scored windows, as an AffineForecaster on raw windows.
+
+        invert(apply(x) @ W + b) = x @ W' + b', where W' scales each (input feature,
+        output feature) entry of W by std_out / std_in and b' = (b - vec(mean / std) @ W)
+        * std_out + mean_out. With one feature W' is W itself.
+        """
+        h, f = self.history, self.features
+        std = self.norm.std
+        ratio = std / std[:, None]  # [input feature, output feature]: std_out / std_in
+        scaled = (weight.reshape(h, f, self.horizon, f) * ratio[:, None, :]).reshape(weight.shape)
+        shifted = (bias - self._scaled_mean @ weight) * self._std_out
+        return AffineForecaster(scaled, shifted + self._mean_out, f)
+
     def fold(self) -> AffineForecaster:
-        """The predictor as one affine map in original units; see fold_and_pullback."""
-        return self.fold_and_pullback()[0]
+        """The predictor as one affine map in original units; see fold_and_pullback.
+
+        Where the history length n meets pocketfft's precondition for Bluestein's path
+        (spectral.takes_bluestein), the weight is built at a 5-smooth length N >= 2n - 1
+        instead. Each channel's map is the circular correlation of the kernel's impulse
+        response k = irfft(K, n) with a readout column r: w[t] = sum_s k[s] r[(t + s) mod n].
+        Zero-padded to N, one transform pair gives the linear correlation, whose lags -t
+        sit at N - t, and wrapping those onto n gives w. At other lengths this is
+        fold_and_pullback's map, bit for bit.
+        """
+        n_pad = self._padded_length
+        if n_pad is None:
+            return self.fold_and_pullback()[0]
+        h, d, f, out = self.history, self.width, self.features, self.horizon * self.features
+        # One (columns, h) array, C-contiguous: each channel's impulse response irfft(K, h), which
+        # raises on a nonzero pinned bin, then the readout columns in (channel, output) order.
+        stacked = np.empty((d * (1 + out), h))
+        stacked[:d] = irfft(self.coefficients, h).T
+        stacked[d:] = self.readout_weight.reshape(h, d * out).T
+        sums = stacked[d:].sum(axis=-1).reshape(d, out)
+        spectra = np.fft.rfft(stacked, n_pad)
+        del stacked  # lowers the fold's peak memory by a fifth at n = 4,099
+        spectrum = spectra[d:].reshape(d, out, -1)
+        spectrum *= np.conj(spectra[:d])[:, None, :]
+        # A real-by-complex matmul runs an unblocked loop; a complex one runs BLAS.
+        pulled = (self.lift_weight.astype(np.complex128) @ spectrum.reshape(d, -1)).reshape(f * out, -1)
+        lin = np.fft.irfft(pulled, n_pad)  # (features * outputs, n_pad)
+        weight = lin[:, :h].T.copy()
+        weight[1:] += lin[:, n_pad - h + 1 :].T
+        bias = self.lift_bias @ (self.k_re[0][:, None] * sums) + self.readout_bias
+        return self._in_original_units(weight.reshape(h * f, out), bias)
 
     def fold_and_pullback(self) -> tuple[AffineForecaster, Callable[..., np.ndarray]]:
         """Compose lift, kernel and readout into one affine map, and return it with its pullback.
@@ -256,7 +291,8 @@ class FilterPredictorState:
         One rfft over width * horizon * features columns and one irfft over
         features * horizon * features columns, whatever the batch. That map
         acts on z-scored windows; the forecaster gets it with the z-score and
-        its inverse folded in (see _in_original_units).
+        its inverse folded in (see _in_original_units). fold() builds the same map
+        by zero-padded correlation at a window length pocketfft takes by Bluestein.
 
         pullback(histories, grad_out) takes the gradient of a loss w.r.t. the
         forecasts of those histories, overwrites every parameter slot's
@@ -272,7 +308,7 @@ class FilterPredictorState:
         pulled = np.conj(self.coefficients)[:, None, :] * spectrum
         weight = irfft(np.einsum("kod,fd->kfo", pulled, self.lift_weight), h).reshape(h * f, out)
         bias = pulled[0].real @ self.lift_bias + self.readout_bias
-        forecaster = _in_original_units(weight, bias, norm, h, self.horizon)
+        forecaster = self._in_original_units(weight, bias)
 
         def pullback(histories, grad_out) -> np.ndarray:
             x = check_window_shape(histories, h, f, "history")

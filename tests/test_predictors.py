@@ -18,6 +18,7 @@ from freqfilter.predictors import (
     rolling_evaluate,
 )
 from freqfilter.filters import filter_forward, smooth
+from freqfilter.spectral import takes_bluestein
 from freqfilter.tensor import TimeSeriesTensor
 from freqfilter.training import TrainConfig, make_windows, train
 from numgrad import central_difference, max_relative_error
@@ -265,7 +266,10 @@ def transform_calls(monkeypatch):
 class TestFold:
     @pytest.mark.parametrize(
         "history,horizon,features,width",
-        [(12, 12, 1, 4), (11, 3, 2, 5), (10, 4, 2, 2), (67, 4, 1, 3), (4099, 12, 1, 4)],
+        [
+            (12, 12, 1, 4), (11, 3, 2, 5), (10, 4, 2, 2), (2016, 12, 1, 4),
+            (67, 4, 1, 3), (97, 4, 2, 3), (106, 3, 1, 2), (4099, 12, 1, 4),
+        ],
     )
     def test_folded_matches_unfolded_on_random_parameters(self, history, horizon, features, width):
         state = perturbed_state(history, horizon, features, width, seed=history)
@@ -287,7 +291,7 @@ class TestFold:
         unfolded = state.forward(histories)
         assert relative_error(state.fold().predict(histories), unfolded) <= 1e-12
 
-    @pytest.mark.parametrize("history,features,width", [(12, 1, 4), (9, 2, 3)])
+    @pytest.mark.parametrize("history,features,width", [(12, 1, 4), (9, 2, 3), (97, 1, 4), (4099, 1, 4)])
     def test_identity_init_folds_to_copy_last_step(self, history, features, width):
         norm = NormStats(np.full(features, 50.0), np.full(features, 10.0))
         state = FilterPredictorState.initialize(history, 5, features, width, norm, seed=3)
@@ -312,6 +316,37 @@ class TestFold:
         histories = np.random.default_rng(2).normal(50.0, 10.0, (500, history, features))
         state.predict(histories)
         assert transform_calls == [("rfft", width * horizon * features), ("irfft", features * horizon * features)]
+
+    @pytest.mark.parametrize(
+        "history,padded",
+        [(12, False), (13, False), (49, False), (67, True), (97, True), (288, False),
+         (2016, False), (2017, True), (4096, False), (4099, True)],
+    )
+    def test_fold_pads_exactly_the_lengths_that_meet_the_bluestein_precondition(self, history, padded):
+        assert takes_bluestein(history) is padded
+        state = perturbed_state(history, 2, 1, 2, seed=history)
+        assert np.array_equal(state.fold().weight, state.fold_and_pullback()[0].weight) is not padded
+
+    @pytest.mark.parametrize("history", [12, 288, 2016])
+    def test_fold_has_the_bits_of_the_training_fold_off_the_bluestein_lengths(self, history):
+        state = perturbed_state(history, 3, 2, 3, seed=history)
+        folded, trained = state.fold(), state.fold_and_pullback()[0]
+        assert np.array_equal(folded.weight, trained.weight) and np.array_equal(folded.bias, trained.bias)
+
+    @pytest.mark.parametrize("history,horizon,features,width", [(53, 2, 2, 2), (97, 4, 2, 3), (106, 3, 1, 2), (4099, 12, 1, 4)])
+    def test_padded_fold_matches_the_training_fold(self, history, horizon, features, width):
+        state = perturbed_state(history, horizon, features, width, seed=history + 1)
+        folded, trained = state.fold(), state.fold_and_pullback()[0]
+        assert relative_error(folded.weight, trained.weight) <= 1e-12
+        assert relative_error(folded.bias, trained.bias) <= 1e-12
+
+    @pytest.mark.parametrize("history,row", [(12, 0), (12, 6), (106, 0), (106, 53), (4099, 0)])
+    def test_fold_rejects_a_nonzero_pinned_imaginary_bin(self, history, row):
+        state = perturbed_state(history, 2, 1, 2, seed=history)
+        state.k_im[row, 1] = 0.5  # written past the pins, as a corrupted buffer would be
+        where = "bin 0" if row == 0 else "the Nyquist bin"
+        with pytest.raises(ValueError, match=f"imaginary part at {where}"):
+            state.fold()
 
     def test_fold_reads_the_normalization_given_at_construction(self):
         state = perturbed_state(6, 3, 1, 2, seed=6)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from freqfilter.spectral import half_bin_multiplicity, half_length, irfft, rfft
+from freqfilter.spectral import half_bin_multiplicity, half_length, irfft, rfft, smooth_length, takes_bluestein
 
 from spectral_reference import circular_convolve, dft_reference, idft_reference, spectrum_to_full
 
@@ -228,3 +228,25 @@ class TestSpectralProperties:
         k = rng.standard_normal(n)
         via_fft = irfft(rfft(x) * rfft(k), n)
         np.testing.assert_allclose(circular_convolve(x, k), via_fft, atol=1e-8)
+
+
+class TestTransformLengths:
+    def test_smooth_length_is_the_next_5_smooth_integer(self):
+        def is_smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for n in range(1, 3000):
+            got = smooth_length(n)
+            assert got >= n and is_smooth(got)
+            assert not any(is_smooth(m) for m in range(n, got))
+        assert smooth_length(2 * 4099 - 1) == 8640
+
+    def test_bluestein_rule_is_a_large_prime_factor_from_50_on(self):
+        def largest_prime_factor(n):
+            return max(p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
+
+        for n in range(1, 400):
+            assert takes_bluestein(n) == (n >= 50 and largest_prime_factor(n) ** 2 > n), n
