@@ -24,6 +24,7 @@ from .data_io import (
     EXACT_INT_LIMIT,
     CheckpointError,
     CsvFormatError,
+    NormStats,
     SyntheticConfig,
     fit_normalization,
     generate_synthetic,
@@ -47,7 +48,7 @@ from .predictors import (
     window_anchors,
 )
 from .tensor import TimeSeriesTensor, slice_window
-from .training import TrainConfig, TrainingDivergedError, make_windows, train
+from .training import TrainConfig, TrainingDivergedError, WindowedDataset, make_windows, train
 
 
 def _parse_bool(text: str) -> bool:
@@ -171,11 +172,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_once(series: TimeSeriesTensor, args: argparse.Namespace, seed: int):
-    ds = make_windows(series, args.history, args.horizon, args.split)
-    norm = fit_normalization(series, ds.split_ranges["train"])
+def _train_once(ds: WindowedDataset, norm: NormStats, args: argparse.Namespace, seed: int):
     state = FilterPredictorState.initialize(
-        args.history, args.horizon, series.n_features, args.width, norm, seed=seed,
+        args.history, args.horizon, ds.values.shape[2], args.width, norm, seed=seed,
     )
     cfg = TrainConfig(
         learning_rate=args.lr,
@@ -192,10 +191,12 @@ def _train_once(series: TimeSeriesTensor, args: argparse.Namespace, seed: int):
 
 def cmd_train(args: argparse.Namespace) -> int:
     series = load_csv(args.data)
+    ds = make_windows(series, args.history, args.horizon, args.split)
+    norm = fit_normalization(series, ds.split_ranges["train"])
     seeds = args.seeds or (args.seed,)
     finals = []
     for seed in seeds:
-        state, log = _train_once(series, args, seed)
+        state, log = _train_once(ds, norm, args, seed)
         ckpt_path = Path(args.checkpoint)
         if len(seeds) > 1:
             ckpt_path = ckpt_path.with_suffix(ckpt_path.suffix + f".seed{seed}")

@@ -195,8 +195,12 @@ class TrainingLog:
     """Per-epoch (epoch, train_loss, val_loss) records; epoch 0 is the untrained state."""
 
     entries: list[tuple[int, float, float]] = field(default_factory=list)
-    best_epoch: int | None = None
     stopped_early: bool = False
+
+    @property
+    def best_epoch(self) -> int:
+        """The first epoch with the lowest finite validation loss; 0 when none is finite (no validation split)."""
+        return min(((va, e) for e, _, va in self.entries if np.isfinite(va)), default=(None, 0))[1]
 
     def to_text(self) -> str:
         lines = [f"{e} {tr:.12g} {va:.12g}" for e, tr, va in self.entries]
@@ -223,9 +227,10 @@ def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:
 
     Each step folds the current parameters into one affine map, forecasts the
     batch with it and pulls the loss gradient back into the gradient buffer.
-    Logs epoch 0 (no updates) first, then one entry per epoch. When early
-    stopping triggers, the best-validation parameters are restored before
-    returning.
+    Logs epoch 0 (no updates) first, then one entry per epoch. With a
+    patience set and a validation split, training stops once more than
+    `patience` epochs have passed since `log.best_epoch`, and the best
+    epoch's parameters are restored before returning.
     """
     cfg.validate()
     n_samples = data.n_samples("train")
@@ -235,15 +240,8 @@ def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:
     optimizer = (Adam if cfg.optimizer == "adam" else SGD)(state, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
 
-    log = TrainingLog()
-    train_loss = evaluate_loss(state, data, "train")
-    val_loss = evaluate_loss(state, data, "val")
-    log.entries.append((0, train_loss, val_loss))
-
-    best_val = val_loss
-    best_epoch = 0
+    log = TrainingLog([(0, evaluate_loss(state, data, "train"), evaluate_loss(state, data, "val"))])
     best_params = state.params.copy() if cfg.early_stop_patience is not None else None
-    stale = 0
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n_samples)
@@ -267,20 +265,13 @@ def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:
         train_loss = float(np.mean(batch_losses))
         log.entries.append((epoch, train_loss, val_loss))
 
-        if not np.isfinite(val_loss):
-            continue  # no validation split: early stopping cannot apply
-        if not np.isfinite(best_val) or val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            stale = 0
-            if best_params is not None:
-                best_params = state.params.copy()
-        else:
-            stale += 1
-            if cfg.early_stop_patience is not None and stale > cfg.early_stop_patience:
-                state.params[...] = best_params
-                log.stopped_early = True
-                break
+        if cfg.early_stop_patience is None or not np.isfinite(val_loss):
+            continue  # no patience, or no validation split: early stopping cannot apply
+        if log.best_epoch == epoch:
+            best_params = state.params.copy()
+        elif epoch - log.best_epoch > cfg.early_stop_patience:
+            state.params[...] = best_params
+            log.stopped_early = True
+            break
 
-    log.best_epoch = best_epoch
     return log

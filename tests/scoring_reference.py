@@ -2,8 +2,9 @@
 
 error_sums reduces with NumPy's sum over every axis but axis 1,
 reports_from_sums computes on NumPy scalars, and gathered_rolling_evaluate
-cuts every block's targets, predecessors and histories with
-predictors._gather into flat (windows, steps, features) arrays.
+cuts every block's targets, predecessors and histories one window at a time
+by plain slicing into flat (windows, steps, features) arrays. It shares no
+window code with the package.
 """
 
 import numpy as np
@@ -38,8 +39,9 @@ def _report(abs_sum, sq_sum, pct_sum, n_evaluated, n_total):
     )
 
 
-def _gather_flat(values, nodes, starts, length):
-    return freqfilter.predictors._gather(values, nodes, starts, length).reshape(-1, length, values.shape[2])
+def _sliced_windows(values, starts, length):
+    """values[v, s : s + length] for each start s, then each node v: (windows, length, features)."""
+    return np.stack([values[v, s : s + length] for s in starts for v in range(values.shape[0])])
 
 
 def gathered_rolling_evaluate(predictor, series, history, horizon, stride=1, predecessor_mode=False, mape_epsilon=1e-6):
@@ -50,15 +52,14 @@ def gathered_rolling_evaluate(predictor, series, history, horizon, stride=1, pre
         source = predictor.transform_series(values)
     elif isinstance(predictor, FilterPredictorState):
         predictor = predictor.fold()
-    nodes = np.arange(values.shape[0])
     per_block = max(1, freqfilter.predictors.WINDOW_BLOCK // values.shape[0])
     sums = 0.0
     for lo in range(0, anchors.size, per_block):
-        starts = anchors[lo : lo + per_block, None]
-        targets = _gather_flat(values, nodes, starts + history, horizon)
+        starts = anchors[lo : lo + per_block]
+        targets = _sliced_windows(values, starts + history, horizon)
         if predecessor_mode:
-            preds = _gather_flat(source, nodes, starts + history - 1, horizon)
+            preds = _sliced_windows(source, starts + history - 1, horizon)
         else:
-            preds = predictor.predict(_gather_flat(values, nodes, starts, history))
+            preds = predictor.predict(_sliced_windows(values, starts, history))
         sums += error_sums(preds, targets, mape_epsilon)
     return RollingReport(*reports_from_sums(sums), series.interval_seconds)

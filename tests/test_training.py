@@ -470,10 +470,10 @@ class TestTrain:
         state, ds = prepared_state(series)
         cfg = TrainConfig(learning_rate=1e-3, epochs=40, batch_size=256, seed=10, early_stop_patience=2)
         log = train(state, ds, cfg)
-        if log.stopped_early:
-            # restored parameters must reproduce the best validation loss
-            best_val = min(entry[2] for entry in log.entries)
-            assert evaluate_loss(state, ds, "val") == pytest.approx(best_val, abs=1e-12)
+        assert log.stopped_early
+        # restored parameters must reproduce the best validation loss
+        best_val = min(entry[2] for entry in log.entries)
+        assert evaluate_loss(state, ds, "val") == pytest.approx(best_val, abs=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -514,6 +514,69 @@ class TestTrain:
         model = rolling_evaluate(state, region, 8, 4)
         copy = rolling_evaluate(CopyLastStepPredictor(4), region, 8, 4)
         assert model.aggregate.mae < 0.9 * copy.aggregate.mae
+
+
+def scripted_validation(monkeypatch, val_losses):
+    """Make training read val_losses[k] at its k-th validation loss; returns the parameters seen at each."""
+    snapshots = []
+    real = freqfilter.training.evaluate_loss
+
+    def evaluate(state, data, split):
+        if split != "val":
+            return real(state, data, split)
+        snapshots.append(state.params.copy())
+        return val_losses[len(snapshots) - 1]
+
+    monkeypatch.setattr(freqfilter.training, "evaluate_loss", evaluate)
+    return snapshots
+
+
+def stop_rule_run(epochs, patience, split=(0.6, 0.2, 0.2)):
+    series = toy_series(120, n_nodes=2, seed=14)
+    ds = make_windows(series, 6, 3, split)
+    state = FilterPredictorState.initialize(6, 3, 1, 2, fit_normalization(series, ds.split_ranges["train"]), seed=14)
+    cfg = TrainConfig(learning_rate=1e-2, epochs=epochs, batch_size=32, seed=14, early_stop_patience=patience)
+    log = train(state, ds, cfg)
+    return state, log
+
+
+class TestStopRule:
+    @pytest.mark.parametrize(
+        "val_losses, patience, best",
+        [
+            ([5.0, 4.0, 3.0, 3.5, 3.0, 4.0, 2.0, 1.0], 2, 2),  # the tie at epoch 4 is no improvement
+            ([5.0, 4.0, 4.0, 1.0], 0, 1),  # patience 0 stops at the first epoch not strictly lower
+            ([5.0, 5.0, 1.0], 0, 0),  # the untrained parameters come back
+            ([5.0, 6.0, 7.0, 4.0, 8.0, 9.0, 9.0, 9.0, 1.0], 3, 3),
+        ],
+    )
+    def test_stops_after_patience_and_restores_the_best_epoch(self, monkeypatch, val_losses, patience, best):
+        snapshots = scripted_validation(monkeypatch, val_losses)
+        state, log = stop_rule_run(len(val_losses) - 1, patience)
+        assert log.best_epoch == best
+        assert len(log.entries) - 1 == best + patience + 1
+        assert log.stopped_early
+        assert log.final_val_loss() == val_losses[best]
+        assert [e[2] for e in log.entries] == val_losses[: best + patience + 2]
+        assert state.params.tobytes() == snapshots[best].tobytes()
+        assert not np.array_equal(state.params, snapshots[-1])
+
+    def test_runs_every_epoch_while_the_loss_keeps_falling(self, monkeypatch):
+        val_losses = [5.0, 4.0, 3.0, 3.0, 2.0, 1.0]
+        snapshots = scripted_validation(monkeypatch, val_losses)
+        state, log = stop_rule_run(5, 1)
+        assert log.best_epoch == 5
+        assert len(log.entries) == 6 and not log.stopped_early
+        assert log.final_val_loss() == 1.0
+        assert state.params.tobytes() == snapshots[-1].tobytes()
+
+    def test_no_validation_split_runs_every_epoch(self):
+        state, log = stop_rule_run(4, 0, split=(0.8, 0.0, 0.2))
+        assert len(log.entries) == 5
+        assert all(np.isnan(e[2]) for e in log.entries)
+        assert log.best_epoch == 0
+        assert not log.stopped_early
+        assert np.isnan(log.final_val_loss())
 
 
 def test_log_serialization_round_trip_text():
