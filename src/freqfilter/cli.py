@@ -156,12 +156,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def cmd_baseline(args: argparse.Namespace) -> int:
     series = load_csv(args.data)
     region = series if args.region == "all" else _test_region(series, args.history, args.horizon, args.split)
+    # Both predictors are built before the first print, so a bad setting writes nothing to stdout.
+    copy, filtered = CopyLastStepPredictor(args.horizon), FilteredCopyLastStepPredictor(args.horizon, args.window)
     mode = "rolling-predecessor" if args.rolling else "one-shot"
     print(f"evaluation region: {region.n_steps} steps, mode: {mode}")
-    for name, predictor in (
-        ("CopyLastStep", CopyLastStepPredictor(args.horizon)),
-        (f"FilteredCopyLastStep(window={args.window})", FilteredCopyLastStepPredictor(args.horizon, args.window)),
-    ):
+    for name, predictor in (("CopyLastStep", copy), (f"FilteredCopyLastStep(window={args.window})", filtered)):
         report = rolling_evaluate(
             predictor, region, args.history, args.horizon,
             stride=args.stride, predecessor_mode=args.rolling, mape_epsilon=args.mape_epsilon,
@@ -174,7 +173,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def _train_once(ds: WindowedDataset, norm: NormStats, args: argparse.Namespace, seed: int):
     state = FilterPredictorState.initialize(
-        args.history, args.horizon, ds.values.shape[2], args.width, norm, seed=seed,
+        args.history, args.horizon, ds.series.n_features, args.width, norm, seed=seed,
     )
     cfg = TrainConfig(
         learning_rate=args.lr,
@@ -226,7 +225,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     offsets = np.repeat(np.arange(h, h + t, dtype=np.float64), series.n_nodes)  # row timestamp - anchor
     with Path(args.out).open("w") as fh:
         fh.write(_FORECAST_HEADER + "\n")
-        for span, hist, targ in iter_windows(series.values, 0, args.stride, anchors.size, h, t):
+        for span, hist, targ in iter_windows(series.values, args.stride, anchors.size, h, t):
             block = anchors[span]
             preds = forecaster.predict(hist).reshape(block.size, series.n_nodes, t).transpose(0, 2, 1)
             actual = targ.reshape(block.size, series.n_nodes, t).transpose(0, 2, 1)

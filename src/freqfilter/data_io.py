@@ -198,8 +198,10 @@ def save_csv(series: TimeSeriesTensor, path, start_timestamp: datetime | None = 
     A 300 s series with no start datetime gets integer step indices, which
     load_csv reads back at 300 s. Any other series gets ISO timestamps spaced
     by its interval, from start_timestamp or else from 1970-01-01T00:00:00
-    (read back as UTC), so its interval survives the round trip.
+    (read back as UTC), so its interval survives the round trip; one step off 300 s raises ValueError.
     """
+    if series.n_steps == 1 and series.interval_seconds != DEFAULT_INTERVAL_SECONDS:  # one row shows no spacing
+        raise ValueError(f"cannot save a one-step series at {series.interval_seconds} s: it would load at 300 s")
     path = Path(path)
     if start_timestamp is None and series.interval_seconds != DEFAULT_INTERVAL_SECONDS:
         start_timestamp = datetime(1970, 1, 1)

@@ -400,15 +400,15 @@ def _window_view(values: np.ndarray, first: int, stride: int, n_anchors: int, le
     )
 
 
-def iter_windows(values: np.ndarray, first: int, stride: int, n_anchors: int, history: int, horizon: int):
+def iter_windows(values: np.ndarray, stride: int, n_anchors: int, history: int, horizon: int):
     """Yield (span, histories, targets) per block of at most WINDOW_BLOCK windows (one anchor at least).
 
-    The windows' histories start at steps first + i * stride, i < n_anchors, and span is the
+    The windows' histories start at steps i * stride, i < n_anchors, and span is the
     block's slice of those anchors. Histories and targets have shape (anchors, nodes, steps,
     features); both are slices of strided read-only views of values, so nothing is copied.
     """
-    histories = _window_view(values, first, stride, n_anchors, history)
-    targets = _window_view(values, first + history, stride, n_anchors, horizon)
+    histories = _window_view(values, 0, stride, n_anchors, history)
+    targets = _window_view(values, history, stride, n_anchors, horizon)
     per_block = max(1, WINDOW_BLOCK // values.shape[0])
     for lo in range(0, n_anchors, per_block):
         span = slice(lo, lo + per_block)
@@ -454,7 +454,7 @@ def rolling_evaluate(
     folded = isinstance(predictor, AffineForecaster)
     nodes = np.arange(values.shape[0])
     sums = 0.0
-    for span, histories, targets in iter_windows(values, 0, stride, anchors.size, history, horizon):
+    for span, histories, targets in iter_windows(values, stride, anchors.size, history, horizon):
         if predecessor_mode:
             preds = predecessors[span]
         else:

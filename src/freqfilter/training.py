@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import error_sums, reports_from_sums
-from .predictors import _gather, iter_windows
-from .tensor import TimeSeriesTensor
+from .predictors import _window_view, rolling_evaluate
+from .tensor import TimeSeriesTensor, slice_window
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -50,14 +49,14 @@ class WindowedDataset:
     split boundary.
     """
 
-    values: np.ndarray  # (n_nodes, n_steps, n_features), original units
+    series: TimeSeriesTensor
     history: int
     horizon: int
     split_ranges: dict[str, tuple[int, int]]
 
     @property
     def n_nodes(self) -> int:
-        return self.values.shape[0]
+        return self.series.n_nodes
 
     def n_windows(self, split: str) -> int:
         start, stop = self.split_ranges[split]
@@ -69,12 +68,13 @@ class WindowedDataset:
     def gather(self, split: str, sample_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-node (histories, targets) batches, sample id = window * n_nodes + node.
 
-        Each sample is cut as one window of history + horizon steps, and the two halves are views of it.
+        Each sample is copied as one history + horizon window from the split's window view; the halves are views of it.
         """
         if sample_ids.size and not 0 <= sample_ids.min() <= sample_ids.max() < self.n_samples(split):
             raise IndexError(f"sample ids must lie in [0, {self.n_samples(split)}) for the {split} split")
-        starts = self.split_ranges[split][0] + sample_ids // self.n_nodes
-        windows = _gather(self.values, sample_ids % self.n_nodes, starts, self.history + self.horizon)
+        start = self.split_ranges[split][0]
+        view = _window_view(self.series.values, start, 1, self.n_windows(split), self.history + self.horizon)
+        windows = view[sample_ids // self.n_nodes, sample_ids % self.n_nodes]
         return windows[..., : self.history, :], windows[..., self.history :, :]
 
 
@@ -112,7 +112,7 @@ def make_windows(
             )
         cursor += size
 
-    return WindowedDataset(values=series.values, history=history, horizon=horizon, split_ranges=ranges)
+    return WindowedDataset(series=series, history=history, horizon=horizon, split_ranges=ranges)
 
 
 def mae_loss(pred, target) -> tuple[float, np.ndarray]:
@@ -212,14 +212,11 @@ class TrainingLog:
 
 
 def evaluate_loss(state, data: WindowedDataset, split: str) -> float:
-    """MAE of the predictor over a whole split, in original units; NaN if the split is empty."""
+    """rolling_evaluate's aggregate MAE over a whole split, in original units; NaN if the split is empty."""
     if data.n_samples(split) == 0:
         return float("nan")
-    forecaster = state.fold()
-    first = data.split_ranges[split][0]
-    windows = iter_windows(data.values, first, 1, data.n_windows(split), data.history, data.horizon)
-    sums = sum(error_sums(forecaster.predict(histories), targets) for _, histories, targets in windows)
-    return reports_from_sums(sums)[1].mae
+    start, stop = data.split_ranges[split]
+    return rolling_evaluate(state, slice_window(data.series, start, stop - start), data.history, data.horizon).aggregate.mae
 
 
 def train(state, data: WindowedDataset, cfg: TrainConfig) -> TrainingLog:

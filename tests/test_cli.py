@@ -75,6 +75,14 @@ def test_a_60_s_series_keeps_its_interval_through_generate_and_filter(tmp_path, 
         assert load_csv(path).interval_seconds == 60
 
 
+@pytest.mark.parametrize("setting", [["--window", "0"], ["--window", "-3"]])
+def test_baseline_checks_its_predictors_before_it_prints(small_csv, capsys, setting):
+    assert main(["baseline", "--data", str(small_csv), "--history", "6", "--horizon", "3", *setting]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_baseline_rolling_mode_runs(small_csv, capsys):
     assert main([
         "baseline", "--data", str(small_csv), "--history", "6", "--horizon", "3", "--rolling",
@@ -147,7 +155,7 @@ def forecast_csv_by_rows(state, series, stride):
     forecaster = state.fold()
     lines = ["timestamp,node_id,horizon_step,predicted,actual\n"]
     anchors = window_anchors(series.n_steps, h, t, stride)
-    for span, hist, targ in iter_windows(series.values, 0, stride, anchors.size, h, t):
+    for span, hist, targ in iter_windows(series.values, stride, anchors.size, h, t):
         block = anchors[span]
         preds = forecaster.predict(hist).reshape(block.size, series.n_nodes, t, -1)
         for a, pred, act in zip(block, preds, targ.reshape(preds.shape)):
@@ -203,7 +211,7 @@ def test_every_scorer_takes_its_blocks_from_iter_windows(tmp_path, small_csv, sm
             spans.append(block[0])
             yield block
 
-    for module in (freqfilter.predictors, freqfilter.training, freqfilter.cli):
+    for module in (freqfilter.predictors, freqfilter.cli):
         monkeypatch.setattr(module, "iter_windows", spy)
 
     def blocks_of(n_anchors):

@@ -329,6 +329,13 @@ class TestCsvContract:
         assert loaded.interval_seconds == 60
         np.testing.assert_allclose(loaded.values, series.values, atol=5e-7)
 
+    @pytest.mark.parametrize("start", [None, datetime(2024, 1, 1)])
+    def test_a_one_step_series_off_300_s_is_refused_not_saved_at_300_s(self, tmp_path, start):
+        series = TimeSeriesTensor(np.ones((1, 1, 1)), ("a",), interval_seconds=60)
+        with pytest.raises(ValueError, match=r"^cannot save a one-step series at 60 s: it would load at 300 s$"):
+            save_csv(series, tmp_path / "one.csv", start_timestamp=start)
+        assert not (tmp_path / "one.csv").exists()
+
     @settings(max_examples=40, deadline=None)
     @given(
         columns=st.integers(1, 4),
@@ -348,12 +355,17 @@ class TestCsvContract:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(freqfilter.data_io, "CSV_BLOCK_CELLS", block_cells)
             path = Path(tmp) / "series.csv"
+            if steps == 1 and interval != 300:  # one row cannot show its spacing
+                with pytest.raises(ValueError, match=f"one-step series at {interval} s"):
+                    save_csv(series, path, start_timestamp=start)
+                assert not path.exists()
+                return
             save_csv(series, path, start_timestamp=start)
             loaded = load_csv(path)
         rounded = np.array([float(f"{v:.6f}") for v in cells]).reshape(values.shape)
         assert loaded.values.tobytes() == rounded.tobytes()  # bit for bit, the sign of zero too
         assert loaded.node_ids == series.node_ids
-        assert loaded.interval_seconds == (interval if steps > 1 else 300)  # one row cannot show its spacing
+        assert loaded.interval_seconds == interval
 
     @pytest.mark.parametrize("block_cells", [4, freqfilter.data_io.CSV_BLOCK_CELLS])
     @pytest.mark.parametrize("content, message", [case[1:] for case in _MALFORMED_CSVS], ids=[c[0] for c in _MALFORMED_CSVS])

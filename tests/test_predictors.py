@@ -686,7 +686,7 @@ class TestRollingEvaluate:
         anchors = freqfilter.predictors.window_anchors(70, history, horizon, 1)
         sums = 0.0
         nodes = np.arange(3)
-        for span, _, targets in freqfilter.predictors.iter_windows(series.values, 0, 1, anchors.size, history, horizon):
+        for span, _, targets in freqfilter.predictors.iter_windows(series.values, 1, anchors.size, history, horizon):
             sums += freqfilter.predictors.error_sums(
                 freqfilter.predictors._gather(source, nodes, anchors[span, None] + history - 1, horizon), targets
             )

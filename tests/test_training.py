@@ -116,7 +116,7 @@ class TestMakeWindows:
         rng = np.random.default_rng(9)
         for split in ("train", "val", "test"):
             assert ds.n_samples(split) > 0
-            ids = rng.integers(0, ds.n_samples(split), 50)
+            ids = np.concatenate([[0, ds.n_samples(split) - 1], rng.integers(0, ds.n_samples(split), 50)])
             nodes, starts = ids % 4, ds.split_ranges[split][0] + ids // 4
             hist, targ = ds.gather(split, ids)
             expected_hist = np.stack([values[v, s : s + 7] for v, s in zip(nodes, starts)])
@@ -415,7 +415,6 @@ class TestTrain:
             raise AssertionError("evaluate_loss gathered windows")
 
         monkeypatch.setattr(freqfilter.predictors, "_gather", no_gather)
-        monkeypatch.setattr(freqfilter.training, "_gather", no_gather)
         assert evaluate_loss(state, ds, "val") == pytest.approx(expected, rel=1e-12)
 
     def test_validation_loss_improves_on_noisy_data(self):
@@ -514,6 +513,29 @@ class TestTrain:
         model = rolling_evaluate(state, region, 8, 4)
         copy = rolling_evaluate(CopyLastStepPredictor(4), region, 8, 4)
         assert model.aggregate.mae < 0.9 * copy.aggregate.mae
+
+
+@pytest.mark.parametrize("features", [1, 2])
+@pytest.mark.parametrize("history", [12, 53])  # at 53 fold() correlates at a padded length
+def test_validation_loss_is_rolling_evaluate_on_the_split(monkeypatch, features, history):
+    rng = np.random.default_rng(history + features)
+    series = TimeSeriesTensor(rng.normal(40.0, 10.0, (3, 400, features)), ("a", "b", "c"))
+    ds = make_windows(series, history, 3, (0.6, 0.2, 0.2))
+    norm = fit_normalization(series, ds.split_ranges["train"])
+    state = FilterPredictorState.initialize(history, 3, features, features + 1, norm, seed=features)
+    state.params += rng.normal(0.0, 0.05, state.params.shape)
+    state.apply_pins()
+    monkeypatch.setattr(freqfilter.predictors, "WINDOW_BLOCK", 7)  # two anchors of three nodes per block
+    for split in ("train", "val", "test"):
+        assert ds.n_windows(split) > 2  # several blocks
+        start, stop = ds.split_ranges[split]
+        region = slice_window(series, start, stop - start)
+        loss = evaluate_loss(state, ds, split)
+        assert loss == rolling_evaluate(state, region, history, 3).aggregate.mae
+        hist, targ = ds.gather(split, np.arange(ds.n_samples(split)))
+        assert loss == pytest.approx(float(np.mean(np.abs(state.forward(hist) - targ))), rel=1e-9)
+    no_val = make_windows(series, history, 3, (0.8, 0.0, 0.2))
+    assert no_val.n_samples("val") == 0 and np.isnan(evaluate_loss(state, no_val, "val"))
 
 
 def scripted_validation(monkeypatch, val_losses):
